@@ -28,8 +28,8 @@
 //! `report --flight` shows the network edge next to steals and swaps.
 
 use crate::wire::{
-    decode_request, decode_submit_into, encode_reply_into, Reply, Request, WireCodec, MAX_FRAME,
-    PROTOCOL_VERSION,
+    decode_request, decode_submit_into, encode_reply_into, frame_len, push_frame, Reply, Request,
+    WireCodec, HEADER_LEN, MAX_FRAME, PROTOCOL_VERSION,
 };
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{FlightKind, OverloadPolicy, PoolHandle};
@@ -324,9 +324,7 @@ impl WorkerCtx<'_> {
     /// framed, to the connection's write buffer.
     fn queue_reply(&mut self, conn: &mut Conn, reply: &Reply) {
         encode_reply_into(reply, conn.codec, &mut self.scratch);
-        let len = (self.scratch.len() as u32).to_be_bytes();
-        conn.wbuf.extend_from_slice(&len);
-        conn.wbuf.extend_from_slice(&self.scratch);
+        push_frame(&mut conn.wbuf, &self.scratch);
     }
 }
 
@@ -440,27 +438,25 @@ fn step_conn(conn: &mut Conn, ctx: &mut WorkerCtx<'_>, chunk: &mut [u8]) -> bool
 
     // Parse and handle every complete frame already buffered.
     while !conn.dead && !conn.close_after_flush {
-        let avail = conn.rbuf.len() - conn.rpos;
-        if avail < 4 {
+        let Some(header) = conn.rbuf[conn.rpos..].first_chunk() else {
+            break;
+        };
+        let len = match frame_len(header, ctx.cfg.max_frame) {
+            Ok(len) => len,
+            Err(e) => {
+                // The announced length is a lie we refuse to read through, so
+                // frame sync is unrecoverable: reject, then close.
+                ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
+                flush_group(conn, ctx);
+                ctx.queue_reply(conn, &Reply::Reject { reason: e.to_string() });
+                conn.close_after_flush = true;
+                break;
+            }
+        };
+        if conn.rbuf.len() - conn.rpos < HEADER_LEN + len {
             break;
         }
-        let header: [u8; 4] = conn.rbuf[conn.rpos..conn.rpos + 4].try_into().expect("4 bytes");
-        let len = u32::from_be_bytes(header) as usize;
-        if len > ctx.cfg.max_frame {
-            // The announced length is a lie we refuse to read through, so
-            // frame sync is unrecoverable: reject, then close.
-            ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-            flush_group(conn, ctx);
-            let reason =
-                format!("frame of {len} bytes exceeds the {}-byte limit", ctx.cfg.max_frame);
-            ctx.queue_reply(conn, &Reply::Reject { reason });
-            conn.close_after_flush = true;
-            break;
-        }
-        if avail < 4 + len {
-            break;
-        }
-        let start = conn.rpos + 4;
+        let start = conn.rpos + HEADER_LEN;
         conn.rpos = start + len;
         progress = true;
         handle_frame(conn, start, start + len, ctx);

@@ -123,13 +123,38 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Bytes in the length prefix that opens every frame.
+pub(crate) const HEADER_LEN: usize = 4;
+
+/// The length prefix announcing a `len`-byte payload.
+fn frame_header(len: usize) -> io::Result<[u8; HEADER_LEN]> {
+    let len = u32::try_from(len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 framing"))?;
+    Ok(len.to_be_bytes())
+}
+
+/// The payload length a frame's prefix announces, refused with
+/// [`FrameError::Oversized`] above `max` — before anything is allocated
+/// for it.
+pub(crate) fn frame_len(header: &[u8; HEADER_LEN], max: usize) -> Result<usize, FrameError> {
+    let len = u32::from_be_bytes(*header) as usize;
+    if len > max {
+        return Err(FrameError::Oversized { len, max });
+    }
+    Ok(len)
+}
+
+/// Append `payload` to `out` as one whole frame (prefix, then payload).
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&frame_header(payload.len()).expect("reply payloads fit u32 framing"));
+    out.extend_from_slice(payload);
+}
+
 /// Write one frame: 4-byte big-endian length, then the payload, flushed.
 /// Header and payload go out in a single vectored write so a small frame
 /// costs one syscall (and one TCP segment under `TCP_NODELAY`), not two.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 framing"))?;
-    let header = len.to_be_bytes();
+    let header = frame_header(payload.len())?;
     let total = header.len() + payload.len();
     let mut written = 0usize;
     while written < total {
@@ -149,98 +174,41 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame, blocking until it arrives. `Ok(None)` means the peer
-/// closed cleanly between frames; EOF *inside* a frame is
-/// [`FrameError::Truncated`].
-pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    read_frame_patient(r, max, &mut || true)
-}
-
-/// [`read_frame`] into a caller-owned buffer (cleared and refilled,
-/// capacity kept), so a connection loop pays no allocation per frame.
-/// Returns `Ok(false)` on a clean close between frames.
+/// Read one frame from a blocking reader into a caller-owned buffer
+/// (cleared and refilled, capacity kept), so a connection loop pays no
+/// allocation per frame. Returns `Ok(false)` when the peer closed cleanly
+/// between frames; EOF *inside* a frame is [`FrameError::Truncated`].
 pub fn read_frame_into<R: Read>(
     r: &mut R,
     max: usize,
     buf: &mut Vec<u8>,
 ) -> Result<bool, FrameError> {
-    read_frame_patient_into(r, max, buf, &mut || true)
-}
-
-/// [`read_frame`] for sockets with a read timeout: every time the read
-/// times out (`WouldBlock`/`TimedOut`), `keep_waiting` is consulted. While
-/// it returns `true` the read retries; once it returns `false` the call
-/// resolves — `Ok(None)` if no byte of the frame had arrived yet,
-/// [`FrameError::Truncated`] if one had. This is how a gateway handler
-/// blocks on an idle client yet still notices a shutdown flag.
-pub fn read_frame_patient<R: Read>(
-    r: &mut R,
-    max: usize,
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut buf = Vec::new();
-    Ok(read_frame_patient_into(r, max, &mut buf, keep_waiting)?.then_some(buf))
-}
-
-/// [`read_frame_patient`] into a caller-owned buffer (cleared and
-/// refilled, capacity kept). Returns `Ok(false)` on a clean close.
-pub fn read_frame_patient_into<R: Read>(
-    r: &mut R,
-    max: usize,
-    buf: &mut Vec<u8>,
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<bool, FrameError> {
-    let mut header = [0u8; 4];
-    if !read_exact_patient(r, &mut header, true, keep_waiting)? {
-        return Ok(false);
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max {
-        return Err(FrameError::Oversized { len, max });
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    if !read_exact_patient(r, buf, false, keep_waiting)? {
-        return Err(FrameError::Truncated);
-    }
-    Ok(true)
-}
-
-/// Fill `buf` from `r`. Returns `Ok(false)` when the stream ends (EOF or
-/// `keep_waiting` says stop) before the *first* byte and `at_boundary` is
-/// set; any later shortfall is [`FrameError::Truncated`].
-fn read_exact_patient<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    at_boundary: bool,
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<bool, FrameError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && at_boundary {
-                    Ok(false)
-                } else {
-                    Err(FrameError::Truncated)
-                }
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if keep_waiting() {
-                    continue;
-                }
-                return if got == 0 && at_boundary {
-                    Ok(false)
-                } else {
-                    Err(FrameError::Truncated)
-                };
-            }
+    let mut header = [0u8; HEADER_LEN];
+    // EOF before the first header byte is a clean close between frames.
+    let first = loop {
+        match r.read(&mut header) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e.to_string())),
         }
+    };
+    if first == 0 {
+        return Ok(false);
     }
+    fill(r, &mut header[first..])?;
+    let len = frame_len(&header, max)?;
+    buf.clear();
+    buf.resize(len, 0);
+    fill(r, buf)?;
     Ok(true)
+}
+
+/// [`Read::read_exact`], with EOF mid-frame as [`FrameError::Truncated`].
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => FrameError::Truncated,
+        _ => FrameError::Io(e.to_string()),
+    })
 }
 
 /// Serialize a wire message to a fresh JSON frame payload (the
@@ -920,24 +888,29 @@ mod tests {
             write_frame(&mut buf, p).unwrap();
         }
         let mut r = &buf[..];
+        let mut got = Vec::new();
         for p in &payloads {
-            assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap().as_deref(), Some(&p[..]));
+            assert!(read_frame_into(&mut r, MAX_FRAME, &mut got).unwrap());
+            assert_eq!(got, *p);
         }
-        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), None);
+        assert!(!read_frame_into(&mut r, MAX_FRAME, &mut got).unwrap());
     }
 
     #[test]
     fn truncated_and_oversized_frames_are_typed_errors() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
+        let mut got = Vec::new();
         for cut in 1..buf.len() {
             let mut r = &buf[..cut];
-            assert_eq!(read_frame(&mut r, MAX_FRAME), Err(FrameError::Truncated), "cut={cut}");
+            let err = read_frame_into(&mut r, MAX_FRAME, &mut got);
+            assert_eq!(err, Err(FrameError::Truncated), "cut={cut}");
         }
         let mut big = 100u32.to_be_bytes().to_vec();
         big.extend_from_slice(&[0; 100]);
         let mut r = &big[..];
-        assert_eq!(read_frame(&mut r, 10), Err(FrameError::Oversized { len: 100, max: 10 }));
+        let err = read_frame_into(&mut r, 10, &mut got);
+        assert_eq!(err, Err(FrameError::Oversized { len: 100, max: 10 }));
     }
 
     #[test]

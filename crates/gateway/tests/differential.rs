@@ -330,7 +330,7 @@ fn hello_is_mandatory_and_version_checked() {
 
     // A client lying about its protocol version is refused at hello.
     {
-        use flowtree_gateway::{decode, encode, read_frame, write_frame, Reply, Request};
+        use flowtree_gateway::{decode, encode, read_frame_into, write_frame, Reply, Request};
         let stream = std::net::TcpStream::connect(&addr).expect("dial");
         let bad = Request::Hello {
             proto: 99,
@@ -339,7 +339,8 @@ fn hello_is_mandatory_and_version_checked() {
             window: 1,
         };
         write_frame(&mut &stream, &encode(&bad)).expect("send");
-        let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut &stream, 1 << 20, &mut payload).expect("reply"), "frame");
         match decode::<Reply>(&payload).expect("parse") {
             Reply::Reject { reason } => assert!(reason.contains("protocol 99"), "{reason}"),
             other => panic!("expected reject, got {other:?}"),

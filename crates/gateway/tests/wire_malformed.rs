@@ -5,8 +5,9 @@
 
 use flowtree_core::SchedulerSpec;
 use flowtree_gateway::{
-    decode, decode_submit_into, encode, encode_submit_batch_into, read_frame, write_frame, Gateway,
-    GatewayClient, GatewayConfig, Reply, Request, SubmitOutcome, WireCodec, PROTOCOL_VERSION,
+    decode, decode_submit_into, encode, encode_submit_batch_into, read_frame_into, write_frame,
+    FrameError, Gateway, GatewayClient, GatewayConfig, Reply, Request, SubmitOutcome, WireCodec,
+    PROTOCOL_VERSION,
 };
 use flowtree_serve::{ServeConfig, ShardPool};
 use flowtree_sim::JobSpec;
@@ -14,6 +15,9 @@ use flowtree_workloads::mix::Scenario;
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
+
+/// The frame limit [`launch`] configures.
+const MAX_FRAME: usize = 1 << 16;
 
 fn launch() -> (ShardPool, Gateway) {
     let cfg = ServeConfig::builder(SchedulerSpec::from_name_with_half("fifo", 1).expect("spec"), 2)
@@ -24,7 +28,7 @@ fn launch() -> (ShardPool, Gateway) {
     let gw = Gateway::launch(
         "127.0.0.1:0",
         pool.handle(),
-        GatewayConfig { max_frame: 1 << 16, ..Default::default() },
+        GatewayConfig { max_frame: MAX_FRAME, ..Default::default() },
     )
     .expect("gateway up");
     (pool, gw)
@@ -38,12 +42,14 @@ fn hello(stream: &TcpStream) {
     let req = Request::hello("hostile");
     assert!(matches!(req, Request::Hello { proto, .. } if proto == PROTOCOL_VERSION));
     write_frame(&mut &*stream, &encode(&req)).expect("send hello");
-    let payload = read_frame(&mut &*stream, 1 << 20).expect("reply").expect("frame");
+    let mut payload = Vec::new();
+    assert!(read_frame_into(&mut &*stream, 1 << 20, &mut payload).expect("reply"), "frame");
     assert!(matches!(decode::<Reply>(&payload).expect("parse"), Reply::Welcome { .. }));
 }
 
 fn expect_reject(stream: &TcpStream, needle: &str) {
-    let payload = read_frame(&mut &*stream, 1 << 20).expect("reply").expect("frame");
+    let mut payload = Vec::new();
+    assert!(read_frame_into(&mut &*stream, 1 << 20, &mut payload).expect("reply"), "frame");
     match decode::<Reply>(&payload).expect("parse") {
         Reply::Reject { reason } => {
             assert!(reason.contains(needle), "reject says {reason:?}, wanted {needle:?}")
@@ -85,7 +91,8 @@ fn invalid_json_and_unknown_types_get_rejects_on_a_live_connection() {
     // The same connection still works after three rejects.
     let req = Request::Watermark { t: 5 };
     write_frame(&mut &stream, &encode(&req)).expect("send");
-    let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+    let mut payload = Vec::new();
+    assert!(read_frame_into(&mut &stream, 1 << 20, &mut payload).expect("reply"), "frame");
     assert!(matches!(decode::<Reply>(&payload).expect("parse"), Reply::Ack { .. }));
 
     assert_pool_alive(&gw);
@@ -114,9 +121,46 @@ fn oversized_frames_are_rejected_then_the_connection_closes() {
     (&stream).write_all(&(1u32 << 20).to_be_bytes()).expect("send length");
     expect_reject(&stream, "exceeds");
     // Frame sync is gone, so the gateway hangs up.
-    assert_eq!(read_frame(&mut &stream, 1 << 20).expect("clean close"), None);
+    assert!(!read_frame_into(&mut &stream, 1 << 20, &mut Vec::new()).expect("clean close"));
 
     assert_eq!(gw.stats().wire_errors.load(std::sync::atomic::Ordering::SeqCst), 1);
+    assert_pool_alive(&gw);
+    gw.shutdown();
+    pool.drain().expect("drain");
+}
+
+/// The frame limit is inclusive and the same on both read paths: a payload
+/// of exactly the limit is read by `read_frame_into` and handled by a live
+/// gateway; one byte more is refused by both, with the same error text.
+#[test]
+fn frame_limit_is_inclusive_and_the_same_for_reader_and_gateway() {
+    // A well-formed watermark padded with JSON whitespace to the limit.
+    let mut at_limit = encode(&Request::Watermark { t: 5 });
+    at_limit.resize(MAX_FRAME, b' ');
+    let over = FrameError::Oversized { len: MAX_FRAME + 1, max: MAX_FRAME };
+    let over_header = (MAX_FRAME as u32 + 1).to_be_bytes();
+
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &at_limit).expect("frame at the limit");
+    let mut got = Vec::new();
+    assert!(read_frame_into(&mut &framed[..], MAX_FRAME, &mut got).expect("limit is inclusive"));
+    assert_eq!(got, at_limit);
+    assert_eq!(read_frame_into(&mut &over_header[..], MAX_FRAME, &mut got), Err(over.clone()));
+
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+    write_frame(&mut &stream, &at_limit).expect("send");
+    assert!(read_frame_into(&mut &stream, 1 << 20, &mut got).expect("reply"), "frame");
+    assert!(matches!(decode::<Reply>(&got).expect("parse"), Reply::Ack { .. }));
+    (&stream).write_all(&over_header).expect("send length");
+    assert!(read_frame_into(&mut &stream, 1 << 20, &mut got).expect("reply"), "frame");
+    assert_eq!(
+        decode::<Reply>(&got).expect("parse"),
+        Reply::Reject { reason: over.to_string() }
+    );
+    assert!(!read_frame_into(&mut &stream, 1 << 20, &mut got).expect("clean close"));
+
     assert_pool_alive(&gw);
     gw.shutdown();
     pool.drain().expect("drain");
@@ -159,11 +203,12 @@ proptest! {
             write_frame(&mut buf, p).unwrap();
         }
         let mut r = &buf[..];
+        let mut got = Vec::new();
         for p in &payloads {
-            let got = read_frame(&mut r, 1 << 20).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(&p[..]));
+            prop_assert!(read_frame_into(&mut r, 1 << 20, &mut got).unwrap());
+            prop_assert_eq!(&got, p);
         }
-        prop_assert_eq!(read_frame(&mut r, 1 << 20).unwrap(), None);
+        prop_assert!(!read_frame_into(&mut r, 1 << 20, &mut got).unwrap());
     }
 
     /// Any job batch survives the binary codec unchanged, and stages

@@ -55,7 +55,7 @@ use flowtree_dag::Time;
 use flowtree_sim::JobSpec;
 
 use crate::shard::{
-    run_shard, Arrival, ShardCmd, ShardCtx, ShardResult, ShardSnapshot, ShardStats, SwapDirective,
+    run_shard, Arrival, ShardCmd, ShardCtx, ShardResult, ShardSnapshot, SwapDirective,
 };
 use crate::source::ArrivalSource;
 use crate::telemetry::{FlightEvent, FlightKind, MetricsSnapshot, Telemetry};
@@ -122,12 +122,6 @@ impl OverloadPolicy {
             OverloadPolicy::Redirect => "redirect",
         }
     }
-
-    /// Parse a CLI name.
-    #[deprecated(note = "use `name.parse::<OverloadPolicy>()`")]
-    pub fn parse(name: &str) -> Result<Self, String> {
-        name.parse()
-    }
 }
 
 impl std::str::FromStr for OverloadPolicy {
@@ -174,12 +168,6 @@ impl Routing {
             Routing::Hash => "hash",
             Routing::LeastLoaded => "least-loaded",
         }
-    }
-
-    /// Parse a CLI name.
-    #[deprecated(note = "use `name.parse::<Routing>()`")]
-    pub fn parse(name: &str) -> Result<Self, String> {
-        name.parse()
     }
 }
 
@@ -548,7 +536,6 @@ struct Router {
 struct PoolCore {
     cfg: ServeConfig,
     txs: Vec<Sender<ShardCmd>>,
-    stats: Vec<Arc<ShardStats>>,
     tel: Arc<Telemetry>,
     router: Mutex<Router>,
 }
@@ -1081,17 +1068,18 @@ impl PoolHandle {
     }
 
     /// A point-in-time view of every shard plus ingest counters. Reads the
-    /// shards' atomic progress counters — no shard-side lock, so a snapshot
-    /// never stalls the hot loop.
+    /// progress counters in the shards' telemetry cells — no shard-side
+    /// lock, so a snapshot never stalls the hot loop.
     pub fn snapshot(&self) -> PoolSnapshot {
         let r = self.router();
         let shards = self
             .core
-            .stats
+            .tel
+            .shards()
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut snap = s.load();
+            .map(|(i, t)| {
+                let mut snap = t.progress();
                 snap.queue_len = self.core.txs[i].len();
                 snap.staged = r.staged[i].len();
                 snap
@@ -1200,17 +1188,14 @@ impl ShardPool {
         let tel = Arc::new(Telemetry::new(cfg.shards, cfg.flight_capacity));
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
-        let mut stats = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (tx, rx) = channel::bounded(cfg.queue_cap);
-            let stat = Arc::new(ShardStats::default());
             let ctx = ShardCtx {
                 shard,
                 m: cfg.m,
                 spec: cfg.spec,
                 scenario: cfg.scenario.clone(),
                 max_horizon: cfg.max_horizon,
-                stats: Arc::clone(&stat),
                 tel: Arc::clone(tel.shard(shard)),
             };
             let handle = std::thread::Builder::new()
@@ -1219,13 +1204,11 @@ impl ShardPool {
                 .map_err(|e| ServeError::Spawn(e.to_string()))?;
             txs.push(tx);
             handles.push(handle);
-            stats.push(stat);
         }
         let shards = cfg.shards;
         let core = PoolCore {
             cfg,
             txs,
-            stats,
             tel,
             router: Mutex::new(Router {
                 seq: 0,
@@ -1351,13 +1334,6 @@ mod tests {
         }
         assert!("yolo".parse::<OverloadPolicy>().is_err());
         assert!("ring".parse::<Routing>().is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shims_still_work() {
-        assert_eq!(OverloadPolicy::parse("drop"), Ok(OverloadPolicy::DropNewest));
-        assert_eq!(Routing::parse("least-loaded"), Ok(Routing::LeastLoaded));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //!   per-shard [`Instance`], a certified [`RunSummary`], and every
 //!   [`SwapEvent`] along the way.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -129,54 +128,6 @@ impl std::fmt::Display for SwapEvent {
     }
 }
 
-/// Progress counters one shard publishes continuously, lock-free: a set of
-/// relaxed atomics the worker stores after each command batch and any
-/// reader ([`PoolHandle::snapshot`](crate::PoolHandle::snapshot)) loads
-/// without ever blocking the hot loop. Individual fields are each exact;
-/// a multi-field read may straddle a publication (e.g. `dispatched` one
-/// loop ahead of `now`) — callers that need a settled, mutually consistent
-/// view use [`ShardCmd::Quiesce`] or [`ShardCmd::Snapshot`], whose replies
-/// are built synchronously by the worker.
-#[derive(Debug, Default)]
-pub(crate) struct ShardStats {
-    now: AtomicU64,
-    admitted: AtomicU64,
-    steps: AtomicU64,
-    dispatched: AtomicU64,
-    lower_bound: AtomicU64,
-    donated: AtomicU64,
-    swaps: AtomicU64,
-}
-
-impl ShardStats {
-    /// Publish `snap` (worker side). Relaxed: readers tolerate field skew.
-    pub(crate) fn publish(&self, snap: &ShardSnapshot) {
-        self.now.store(snap.now, Ordering::Relaxed);
-        self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
-        self.steps.store(snap.steps, Ordering::Relaxed);
-        self.dispatched.store(snap.dispatched, Ordering::Relaxed);
-        self.lower_bound.store(snap.lower_bound, Ordering::Relaxed);
-        self.donated.store(snap.donated, Ordering::Relaxed);
-        self.swaps.store(snap.swaps, Ordering::Relaxed);
-    }
-
-    /// Load the latest published view (reader side). `queue_len` and
-    /// `staged` are the pool's to fill in.
-    pub(crate) fn load(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            now: self.now.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed) as usize,
-            steps: self.steps.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            lower_bound: self.lower_bound.load(Ordering::Relaxed),
-            donated: self.donated.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            queue_len: 0,
-            staged: 0,
-        }
-    }
-}
-
 /// A point-in-time view of one shard's progress (see
 /// [`PoolHandle::snapshot`](crate::PoolHandle::snapshot)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -251,13 +202,12 @@ pub(crate) struct ShardCtx {
     pub spec: SchedulerSpec,
     pub scenario: String,
     pub max_horizon: Time,
-    pub stats: Arc<ShardStats>,
     pub tel: Arc<ShardTelemetry>,
 }
 
 /// Worker body: consume commands until drained, then summarize.
 pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
-    let ShardCtx { shard, m, mut spec, scenario, max_horizon, stats, tel } = ctx;
+    let ShardCtx { shard, m, mut spec, scenario, max_horizon, tel } = ctx;
     let mut sched: Box<dyn OnlineScheduler + Send> = spec.build();
     let mut lb = LowerBound::streaming();
     let mut inv = InvariantMonitor::streaming(spec.invariants());
@@ -394,10 +344,8 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
         });
         {
             let fresh = snapshot_of(&session, swaps.len() as u64, donated);
-            stats.publish(&fresh);
-            // Live theory gauges ride the same publication cadence.
             let p = session.probe();
-            tel.set_gauges(p.1.total_violations(), p.0.max_flow().unwrap_or(0), p.0.lower_bound());
+            tel.publish(&fresh, p.1.total_violations(), p.0.max_flow().unwrap_or(0));
             if !quiesce_replies.is_empty() {
                 tel.flight.record(FlightEvent {
                     us: tel.now_us(),

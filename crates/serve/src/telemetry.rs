@@ -263,9 +263,18 @@ impl FlightRecorder {
     }
 }
 
-/// One shard's always-on telemetry cell: latency histograms, live gauges,
-/// and the flight ring. Lives behind an `Arc` shared by the worker, the
-/// router, and every reader, so it survives a worker panic.
+/// One shard's always-on telemetry cell: latency histograms, progress
+/// counters, live gauges, and the flight ring. Lives behind an `Arc` shared
+/// by the worker, the router, and every reader, so it survives a worker
+/// panic.
+///
+/// The worker publishes progress and gauges once per simulation window
+/// through relaxed atomics, and readers ([`PoolHandle::snapshot`],
+/// [`PoolHandle::metrics`]) load them without ever blocking the hot loop.
+/// Individual fields are each exact; a multi-field read may straddle a
+/// publication (e.g. `dispatched` one loop ahead of `now`) — callers that
+/// need a settled, mutually consistent view use [`PoolHandle::quiesce`],
+/// whose replies the worker builds synchronously.
 #[derive(Debug)]
 pub struct ShardTelemetry {
     epoch: Instant,
@@ -275,6 +284,12 @@ pub struct ShardTelemetry {
     pub admit_to_first_dispatch: AtomicHisto,
     /// Wall-clock µs from router offer to the job's completion event.
     pub arrival_to_complete: AtomicHisto,
+    now: AtomicU64,
+    admitted: AtomicU64,
+    steps: AtomicU64,
+    dispatched: AtomicU64,
+    donated: AtomicU64,
+    swaps: AtomicU64,
     violations: AtomicU64,
     max_flow: AtomicU64,
     lower_bound: AtomicU64,
@@ -289,6 +304,12 @@ impl ShardTelemetry {
             arrival_to_admit: AtomicHisto::new(),
             admit_to_first_dispatch: AtomicHisto::new(),
             arrival_to_complete: AtomicHisto::new(),
+            now: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
+            dispatched: AtomicU64::new(0),
+            donated: AtomicU64::new(0),
+            swaps: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             max_flow: AtomicU64::new(0),
             lower_bound: AtomicU64::new(0),
@@ -302,13 +323,36 @@ impl ShardTelemetry {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Publish the live theory gauges (worker side, once per simulation
-    /// window): invariant-violation total, observed max flow, and the
-    /// streaming Lemma 5.1 lower bound.
-    pub fn set_gauges(&self, violations: u64, max_flow: u64, lower_bound: u64) {
+    /// Publish the shard's progress `snap` plus the live theory gauges —
+    /// invariant-violation total and observed max flow; the streaming
+    /// Lemma 5.1 lower bound rides in `snap` (worker side, once per
+    /// simulation window). Relaxed: readers tolerate field skew.
+    pub(crate) fn publish(&self, snap: &ShardSnapshot, violations: u64, max_flow: u64) {
+        self.now.store(snap.now, Ordering::Relaxed);
+        self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
+        self.steps.store(snap.steps, Ordering::Relaxed);
+        self.dispatched.store(snap.dispatched, Ordering::Relaxed);
+        self.donated.store(snap.donated, Ordering::Relaxed);
+        self.swaps.store(snap.swaps, Ordering::Relaxed);
+        self.lower_bound.store(snap.lower_bound, Ordering::Relaxed);
         self.violations.store(violations, Ordering::Relaxed);
         self.max_flow.store(max_flow, Ordering::Relaxed);
-        self.lower_bound.store(lower_bound, Ordering::Relaxed);
+    }
+
+    /// The latest published progress (reader side). `queue_len` and
+    /// `staged` are the pool's to fill in.
+    pub(crate) fn progress(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            now: self.now.load(Ordering::Relaxed),
+            admitted: self.admitted.load(Ordering::Relaxed) as usize,
+            steps: self.steps.load(Ordering::Relaxed),
+            dispatched: self.dispatched.load(Ordering::Relaxed),
+            lower_bound: self.lower_bound.load(Ordering::Relaxed),
+            donated: self.donated.load(Ordering::Relaxed),
+            swaps: self.swaps.load(Ordering::Relaxed),
+            queue_len: 0,
+            staged: 0,
+        }
     }
 
     /// Materialize this shard's metrics for shard index `shard`.

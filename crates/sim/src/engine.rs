@@ -1,4 +1,4 @@
-//! The online simulation loop.
+//! The online simulation loop — the only one in the crate.
 //!
 //! [`Engine::run`] drives an [`OnlineScheduler`] over an [`Instance`]:
 //!
@@ -11,6 +11,12 @@
 //!   t += 1
 //! until all jobs complete
 //! ```
+//!
+//! The loop itself lives in the crate-private `StepLoop`, which borrows
+//! its instance per call. [`Engine::run`] drives it once over the caller's
+//! instance; a streaming [`Session`](crate::Session) drives the same loop
+//! piecewise over the instance it grows by admission, so the two cannot
+//! drift apart.
 //!
 //! Every selection is validated online (readiness, distinctness — capacity
 //! is enforced by [`Selection`] itself), so scheduler bugs surface as
@@ -148,56 +154,130 @@ impl<P: Probe> Engine<P> {
     /// schedule bundled with its flow statistics and step counters. The
     /// caller should usually also run [`Schedule::verify`] (via the report's
     /// deref).
-    ///
-    /// The loop allocates nothing per step: one [`Selection`] scratch buffer
-    /// is cleared and reused, its picks are copied straight into the CSR
-    /// [`Schedule`], releases are peeked one at a time, and selection
-    /// validation uses per-run stamp arrays (O(picks) per step rather than
-    /// O(picks²)). When no job is alive the engine fast-forwards to the next
-    /// release, emitting a [`Probe::on_idle_gap`] that is observationally
-    /// equivalent to stepwise idling; `select` is *not* called during such
-    /// gaps (nothing is ready, so only an empty selection could be valid).
     pub fn run(
         &mut self,
         instance: &Instance,
         scheduler: &mut dyn OnlineScheduler,
     ) -> Result<RunReport, EngineError> {
-        let clair = scheduler.clairvoyance();
         let horizon = self.max_horizon.unwrap_or_else(|| {
             instance.last_release() + instance.total_work() + instance.max_span() + 4
         });
+        let mut run = StepLoop::new(self.m, horizon, instance);
+        run.start(&mut self.probe, instance.num_jobs());
+        run.run_until(instance, Time::MAX, scheduler, &mut self.probe)?;
+        Ok(run.finish(&mut self.probe))
+    }
+}
 
-        let mut state = SimState::new(instance);
-        let mut schedule = Schedule::new(self.m);
-        let mut counters = Counters::default();
+/// The online step loop and all it owns: state, schedule, counters, stamp
+/// arrays, [`Selection`] scratch and clock. It borrows its [`Instance`] per
+/// call. Outside this module, callers only read `m`, `state`, `counters`
+/// and `t`, and set `horizon`.
+#[derive(Debug)]
+pub(crate) struct StepLoop {
+    pub(crate) m: usize,
+    /// Safety cap: stepping past it is [`EngineError::HorizonExceeded`].
+    pub(crate) horizon: Time,
+    pub(crate) state: SimState,
+    schedule: Schedule,
+    pub(crate) counters: Counters,
+    /// `node_off[j]` is where job `j`'s slice of the flat node array
+    /// starts. A stamp equal to `t + 1` marks "seen during step t"; stamps
+    /// increase strictly across steps, so no clearing between steps is
+    /// needed.
+    node_off: Vec<usize>,
+    node_stamp: Vec<Time>,
+    job_stamp: Vec<Time>,
+    sel: Selection,
+    pub(crate) t: Time,
+}
 
-        // Stamp arrays for O(1)-per-pick validation and completion firing.
-        // `node_off` maps a job to its slice of the flat node array; a stamp
-        // equal to `t + 1` marks "seen during step t" (stamps are strictly
-        // increasing across steps, so no clearing between steps is needed).
+impl StepLoop {
+    /// A loop over `m` processors at time 0 that knows every job of
+    /// `instance`.
+    pub(crate) fn new(m: usize, horizon: Time, instance: &Instance) -> Self {
         let mut node_off: Vec<usize> = Vec::with_capacity(instance.num_jobs() + 1);
         node_off.push(0);
         for spec in instance.jobs() {
             node_off.push(node_off.last().unwrap() + spec.graph.n());
         }
-        let mut node_stamp: Vec<Time> = vec![0; *node_off.last().unwrap()];
-        let mut job_stamp: Vec<Time> = vec![0; instance.num_jobs()];
+        StepLoop {
+            m,
+            horizon,
+            state: SimState::new(instance),
+            schedule: Schedule::new(m),
+            counters: Counters::default(),
+            node_stamp: vec![0; *node_off.last().unwrap()],
+            job_stamp: vec![0; instance.num_jobs()],
+            node_off,
+            sel: Selection::new(m),
+            t: 0,
+        }
+    }
 
-        let mut sel = Selection::new(self.m);
-        let mut t: Time = 0;
+    /// Make room for `jobs` more jobs holding `nodes` subjobs between them.
+    pub(crate) fn reserve(&mut self, jobs: usize, nodes: usize) {
+        self.node_off.reserve(jobs);
+        self.node_stamp.reserve(nodes);
+        self.job_stamp.reserve(jobs);
+    }
 
-        counters.on_start(self.m, instance.num_jobs());
-        self.probe.on_start(self.m, instance.num_jobs());
+    /// Track the next job appended to `instance` since the loop last saw it
+    /// (streaming admission; call once per [`Instance::push_job`]).
+    pub(crate) fn push_job(&mut self, instance: &Instance) {
+        let n = instance.jobs()[self.job_stamp.len()].graph.n();
+        self.state.push_job(instance);
+        self.node_off.push(self.node_off.last().unwrap() + n);
+        self.node_stamp.resize(self.node_stamp.len() + n, 0);
+        self.job_stamp.push(0);
+    }
 
-        while !state.all_done() {
-            if t > horizon {
-                return Err(EngineError::HorizonExceeded { horizon });
+    /// Fire `on_start` with `num_jobs` known jobs (0 for a streaming run).
+    pub(crate) fn start<P: Probe>(&mut self, probe: &mut P, num_jobs: usize) {
+        self.counters.on_start(self.m, num_jobs);
+        probe.on_start(self.m, num_jobs);
+    }
+
+    /// Simulate until `t_end`, or until every known job has finished and
+    /// none is pending, whichever comes first.
+    ///
+    /// The loop allocates nothing per step: the [`Selection`] scratch is
+    /// cleared and reused, its picks are copied straight into the CSR
+    /// [`Schedule`], releases are peeked one at a time, and selection
+    /// validation uses the stamp arrays (O(picks) per step rather than
+    /// O(picks²)). When no job is alive the clock fast-forwards to the next
+    /// release (or `t_end`), emitting a [`Probe::on_idle_gap`] that is
+    /// observationally equivalent to stepwise idling; `select` is *not*
+    /// called during such gaps (nothing is ready, so only an empty
+    /// selection could be valid). A gap split across calls replays as the
+    /// same event stream as one whole gap.
+    pub(crate) fn run_until<P: Probe>(
+        &mut self,
+        instance: &Instance,
+        t_end: Time,
+        scheduler: &mut dyn OnlineScheduler,
+        probe: &mut P,
+    ) -> Result<(), EngineError> {
+        let clair = scheduler.clairvoyance();
+        let m = self.m;
+        // The stamp arrays as local slices, so their headers stay in
+        // registers across the scheduler's calls.
+        let node_off = &self.node_off[..];
+        let node_stamp = &mut self.node_stamp[..];
+        let job_stamp = &mut self.job_stamp[..];
+        while self.t < t_end {
+            if self.state.all_done() {
+                break;
+            }
+            let t = self.t;
+            if t > self.horizon {
+                return Err(EngineError::HorizonExceeded { horizon: self.horizon });
             }
 
-            while let Some(job) = state.release_one(instance, t) {
-                counters.on_release(t, job);
-                self.probe.on_release(t, job);
-                let view = SimView::new(instance, &state, self.m, clair);
+            while let Some(job) = self.state.release_one(instance, t) {
+                self.counters.on_release(t, job);
+                probe.on_release(t, job);
+                let view = SimView::new(instance, &self.state, m, clair);
                 scheduler.on_arrival(t, job, &view);
             }
 
@@ -206,27 +286,28 @@ impl<P: Probe> Engine<P> {
             // release. The gap is capped at `horizon + 1` so a release
             // beyond the safety cap still surfaces as `HorizonExceeded`
             // (with the same probe events the stepwise loop emitted first).
-            if state.alive().is_empty() {
-                let next = state
+            if self.state.alive().is_empty() {
+                let next = self
+                    .state
                     .next_release_time(instance)
                     .expect("no job alive and none pending, yet not all done");
                 debug_assert!(next > t, "a release due now was not applied");
-                let end = next.min(horizon + 1);
+                let end = next.min(t_end).min(self.horizon + 1);
                 let gap = end - t;
-                counters.on_idle_gap(t, gap, self.m);
-                self.probe.on_idle_gap(t, gap, self.m);
-                schedule.push_empty_steps(gap);
-                t = end;
+                self.counters.on_idle_gap(t, gap, m);
+                probe.on_idle_gap(t, gap, m);
+                self.schedule.push_empty_steps(gap);
+                self.t = end;
                 continue;
             }
 
-            let ready_depth = state.total_ready();
-            sel.clear();
+            let ready_depth = self.state.total_ready();
+            self.sel.clear();
             {
-                let view = SimView::new(instance, &state, self.m, clair);
-                scheduler.select(t, &view, &mut sel);
+                let view = SimView::new(instance, &self.state, m, clair);
+                scheduler.select(t, &view, &mut self.sel);
             }
-            let picks = sel.picks();
+            let picks = self.sel.picks();
 
             // Validate: in-bounds, pairwise distinct, ready. The stamp
             // catches duplicates in O(1) per pick; readiness in SimState is
@@ -243,54 +324,57 @@ impl<P: Probe> Engine<P> {
                     return Err(EngineError::DuplicateSelection { t, job: j, node: v });
                 }
                 *slot = stamp;
-                if !state.is_ready(j, v) {
+                if !self.state.is_ready(j, v) {
                     return Err(EngineError::NotReady { t, job: j, node: v });
                 }
             }
 
-            counters.on_select(t, picks);
-            self.probe.on_select(t, picks);
+            self.counters.on_select(t, picks);
+            probe.on_select(t, picks);
             for &(j, v) in picks {
-                self.probe.on_dispatch(t, j, v);
-                state.complete(instance, j, v, t + 1);
+                probe.on_dispatch(t, j, v);
+                self.state.complete(instance, j, v, t + 1);
             }
 
             let stat = StepStat {
                 scheduled: picks.len(),
-                idle_procs: self.m - picks.len(),
+                idle_procs: m - picks.len(),
                 ready_depth,
             };
-            counters.on_step(t, stat);
-            self.probe.on_step(t, stat);
+            self.counters.on_step(t, stat);
+            probe.on_step(t, stat);
 
             // A job completes at t+1 when this step ran its last subjob.
             // Fire once per job — the job stamp replaces the old quadratic
             // "first pick of this job?" rescan.
             let mut any_finished = false;
             for &(j, _) in picks {
-                if state.unfinished(j) == 0 && job_stamp[j.index()] != stamp {
+                if self.state.unfinished(j) == 0 && job_stamp[j.index()] != stamp {
                     job_stamp[j.index()] = stamp;
                     any_finished = true;
-                    counters.on_complete(t + 1, j);
-                    self.probe.on_complete(t + 1, j);
+                    self.counters.on_complete(t + 1, j);
+                    probe.on_complete(t + 1, j);
                 }
             }
 
             if any_finished {
-                state.prune_alive();
+                self.state.prune_alive();
             }
-            schedule.extend_step(picks);
-            t += 1;
+            self.schedule.extend_step(picks);
+            self.t = t + 1;
         }
+        Ok(())
+    }
 
-        counters.on_finish(t);
-        self.probe.on_finish(t);
-
-        // O(jobs), from the counters alone — no second pass over the
-        // schedule, so an uninstrumented run costs the same as returning the
-        // bare schedule did.
-        let stats = counters.flow_stats();
-        Ok(RunReport { schedule, stats, counters })
+    /// Fire `on_finish` and bundle the report. The flow statistics come
+    /// from the counters alone in O(jobs) — no second pass over the
+    /// schedule, so an uninstrumented run costs the same as returning the
+    /// bare schedule did.
+    pub(crate) fn finish<P: Probe>(mut self, probe: &mut P) -> RunReport {
+        self.counters.on_finish(self.t);
+        probe.on_finish(self.t);
+        let stats = self.counters.flow_stats();
+        RunReport { schedule: self.schedule, stats, counters: self.counters }
     }
 }
 
@@ -298,39 +382,9 @@ impl<P: Probe> Engine<P> {
 mod tests {
     use super::*;
     use crate::instance::JobSpec;
+    use crate::scheduler::testing::{Greedy, Lazy};
     use crate::scheduler::Clairvoyance;
     use flowtree_dag::builder::{chain, star};
-
-    /// Greedy work-conserving scheduler: take ready subjobs from alive jobs
-    /// in FIFO order until processors run out.
-    struct Greedy;
-
-    impl OnlineScheduler for Greedy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-            'outer: for &job in view.alive() {
-                for &v in view.ready(job) {
-                    if !sel.push(job, NodeId(v)) {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        fn name(&self) -> String {
-            "greedy".into()
-        }
-    }
-
-    /// A scheduler that always does nothing (to exercise the horizon guard).
-    struct Lazy;
-    impl OnlineScheduler for Lazy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, _v: &SimView<'_>, _s: &mut Selection) {}
-    }
 
     /// A buggy scheduler that selects node 1 of job 0 immediately (not ready
     /// at t=0 for a chain).
@@ -438,13 +492,20 @@ mod tests {
     #[test]
     fn fast_forward_respects_horizon_cap() {
         // Second release far beyond the horizon: the gap must stop at the
-        // cap and report HorizonExceeded, like the stepwise loop did.
+        // cap and report HorizonExceeded, like the stepwise loop did — in
+        // one batch run and in a streaming session alike.
         let inst = Instance::new(vec![
             JobSpec { graph: chain(1), release: 0 },
             JobSpec { graph: chain(1), release: 1_000 },
         ]);
-        let err = Engine::new(2).with_max_horizon(10).run(&inst, &mut Greedy).unwrap_err();
-        assert_eq!(err, EngineError::HorizonExceeded { horizon: 10 });
+        let batch = Engine::new(2).with_max_horizon(10).run(&inst, &mut Greedy).map(drop);
+        let mut session = crate::Session::new(2).with_max_horizon(10);
+        session.admit_batch(inst.jobs().to_vec()).unwrap();
+        let streaming = session.run_until(Time::MAX, &mut Greedy);
+        assert_eq!(session.now(), 11, "the gap stops at horizon + 1");
+        for run in [batch, streaming] {
+            assert_eq!(run, Err(EngineError::HorizonExceeded { horizon: 10 }));
+        }
     }
 
     #[test]
@@ -480,14 +541,8 @@ mod tests {
             fn on_arrival(&mut self, t: Time, job: JobId, _v: &SimView<'_>) {
                 self.arrivals.push((t, job));
             }
-            fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-                for &job in view.alive() {
-                    for &v in view.ready(job) {
-                        if !sel.push(job, NodeId(v)) {
-                            return;
-                        }
-                    }
-                }
+            fn select(&mut self, t: Time, view: &SimView<'_>, sel: &mut Selection) {
+                Greedy.select(t, view, sel);
             }
         }
         let inst = two_job_instance();

@@ -602,26 +602,10 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::instance::JobSpec;
+    use crate::scheduler::testing::Greedy;
     use crate::scheduler::{Clairvoyance, OnlineScheduler, Selection, SimView};
     use flowtree_dag::builder::{chain, star};
     use flowtree_dag::NodeId;
-
-    struct Greedy;
-
-    impl OnlineScheduler for Greedy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-            for &job in view.alive() {
-                for &v in view.ready(job) {
-                    if !sel.push(job, NodeId(v)) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 
     /// Greedy, but refuses to use the last processor — breaks work
     /// conservation whenever more than `m - 1` subjobs are ready.

@@ -311,25 +311,8 @@ mod tests {
     use crate::engine::Engine;
     use crate::instance::JobSpec;
     use crate::probe::JsonlTrace;
-    use crate::scheduler::{Clairvoyance, OnlineScheduler, Selection, SimView};
+    use crate::scheduler::testing::Greedy;
     use flowtree_dag::builder::{chain, star};
-
-    struct Greedy;
-
-    impl OnlineScheduler for Greedy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-            for &job in view.alive() {
-                for &v in view.ready(job) {
-                    if !sel.push(job, NodeId(v)) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 
     fn traced_run(inst: &Instance, m: usize) -> (String, crate::engine::RunReport) {
         let mut trace = JsonlTrace::new(Vec::new());

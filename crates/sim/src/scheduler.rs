@@ -193,6 +193,43 @@ pub trait OnlineScheduler {
     }
 }
 
+/// Schedulers shared by the crate's unit tests (the real ones live in
+/// `flowtree-core`, downstream of this crate).
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Clairvoyance, OnlineScheduler, Selection, SimView};
+    use flowtree_dag::{NodeId, Time};
+
+    /// Greedy work-conserving scheduler: take ready subjobs from alive jobs
+    /// in FIFO order until processors run out.
+    pub(crate) struct Greedy;
+
+    impl OnlineScheduler for Greedy {
+        fn clairvoyance(&self) -> Clairvoyance {
+            Clairvoyance::NonClairvoyant
+        }
+        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
+            for &job in view.alive() {
+                for &v in view.ready(job) {
+                    if !sel.push(job, NodeId(v)) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A scheduler that always does nothing (to exercise the horizon guard).
+    pub(crate) struct Lazy;
+
+    impl OnlineScheduler for Lazy {
+        fn clairvoyance(&self) -> Clairvoyance {
+            Clairvoyance::NonClairvoyant
+        }
+        fn select(&mut self, _t: Time, _v: &SimView<'_>, _s: &mut Selection) {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

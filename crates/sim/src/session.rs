@@ -4,9 +4,10 @@
 //! front; a [`Session`] instead accepts jobs one at a time via
 //! [`admit`](Session::admit) and simulates on demand via
 //! [`run_until`](Session::run_until), so a long-running service can feed
-//! arrivals as they happen. The step loop mirrors the engine's exactly —
+//! arrivals as they happen. There is one step loop: the session owns its
+//! growing instance and drives the engine's own loop over it, piecewise —
 //! same release order, same idle-gap fast-forward, same stamp-based
-//! selection validation, same probe event stream — so a session that admits
+//! selection validation, same probe event stream. So a session that admits
 //! every job of an instance before its release time produces a
 //! [`RunReport`] *identical* to the batch engine's (the differential tests
 //! in `flowtree-serve` pin this bit-for-bit).
@@ -17,12 +18,10 @@
 //! event-time watermark (see `flowtree-serve`): simulate step `t` only once
 //! every arrival with release `<= t` has been admitted.
 
-use crate::engine::{EngineError, RunReport};
+use crate::engine::{EngineError, RunReport, StepLoop};
 use crate::instance::{Instance, JobSpec};
-use crate::probe::{Counters, NullProbe, Probe, StepStat};
-use crate::schedule::Schedule;
-use crate::scheduler::{OnlineScheduler, Selection, SimView};
-use crate::state::SimState;
+use crate::probe::{Counters, NullProbe, Probe};
+use crate::scheduler::{OnlineScheduler, SimView};
 use flowtree_dag::{JobId, Time};
 
 /// Errors from [`Session::admit`].
@@ -92,19 +91,9 @@ const DEFAULT_HORIZON: Time = Time::MAX / 4;
 /// ```
 #[derive(Debug)]
 pub struct Session<P: Probe = NullProbe> {
-    m: usize,
-    max_horizon: Time,
     probe: P,
     instance: Instance,
-    state: SimState,
-    schedule: Schedule,
-    counters: Counters,
-    /// Flat node-array offsets per job (see `Engine::run`).
-    node_off: Vec<usize>,
-    node_stamp: Vec<Time>,
-    job_stamp: Vec<Time>,
-    sel: Selection,
-    t: Time,
+    run: StepLoop,
     started: bool,
 }
 
@@ -113,22 +102,8 @@ impl Session<NullProbe> {
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "need at least one processor");
         let instance = Instance::empty();
-        let state = SimState::new(&instance);
-        Session {
-            m,
-            max_horizon: DEFAULT_HORIZON,
-            probe: NullProbe,
-            instance,
-            state,
-            schedule: Schedule::new(m),
-            counters: Counters::default(),
-            node_off: vec![0],
-            node_stamp: Vec::new(),
-            job_stamp: Vec::new(),
-            sel: Selection::new(m),
-            t: 0,
-            started: false,
-        }
+        let run = StepLoop::new(m, DEFAULT_HORIZON, &instance);
+        Session { probe: NullProbe, instance, run, started: false }
     }
 }
 
@@ -139,37 +114,28 @@ impl<P: Probe> Session<P> {
     pub fn with_probe<Q: Probe>(self, probe: Q) -> Session<Q> {
         assert!(!self.started, "attach probes before the session starts");
         Session {
-            m: self.m,
-            max_horizon: self.max_horizon,
             probe,
             instance: self.instance,
-            state: self.state,
-            schedule: self.schedule,
-            counters: self.counters,
-            node_off: self.node_off,
-            node_stamp: self.node_stamp,
-            job_stamp: self.job_stamp,
-            sel: self.sel,
-            t: self.t,
-            started: self.started,
+            run: self.run,
+            started: false,
         }
     }
 
     /// Override the safety horizon (a stalling scheduler surfaces as
     /// [`EngineError::HorizonExceeded`] instead of spinning forever).
     pub fn with_max_horizon(mut self, horizon: Time) -> Self {
-        self.max_horizon = horizon;
+        self.run.horizon = horizon;
         self
     }
 
     /// Machine size.
     pub fn m(&self) -> usize {
-        self.m
+        self.run.m
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.t
+        self.run.t
     }
 
     /// Jobs admitted so far.
@@ -184,7 +150,7 @@ impl<P: Probe> Session<P> {
 
     /// The engine-maintained counters (live snapshot).
     pub fn counters(&self) -> &Counters {
-        &self.counters
+        &self.run.counters
     }
 
     /// The attached probe (live snapshot — e.g. per-shard monitors).
@@ -202,16 +168,36 @@ impl<P: Probe> Session<P> {
 
     /// Have all admitted jobs finished (vacuously true before any admit)?
     pub fn is_drained(&self) -> bool {
-        self.state.all_done()
+        self.run.state.all_done()
     }
 
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
             // A streaming run starts with zero known jobs; probes grow.
-            self.counters.on_start(self.m, 0);
-            self.probe.on_start(self.m, 0);
+            self.run.start(&mut self.probe, 0);
         }
+    }
+
+    /// Reject `release` unless it is `>= now()` and `>= last`, the latest
+    /// release admitted before it (0 before any admission).
+    fn check_release(&self, release: Time, last: Time) -> Result<(), SessionError> {
+        let now = self.now();
+        if release < now {
+            return Err(SessionError::ReleaseInPast { release, now });
+        }
+        if release < last {
+            return Err(SessionError::ReleaseOutOfOrder { release, last });
+        }
+        Ok(())
+    }
+
+    /// Append an already-checked job to the instance and the step loop.
+    fn push(&mut self, spec: JobSpec) -> JobId {
+        let id = self.instance.push_job(spec);
+        self.run.push_job(&self.instance);
+        self.probe.on_admit(self.now(), id, self.instance.graph(id));
+        id
     }
 
     /// Admit one job. Its release must be `>= now()` and `>=` every earlier
@@ -219,21 +205,8 @@ impl<P: Probe> Session<P> {
     /// once simulation reaches its release time.
     pub fn admit(&mut self, spec: JobSpec) -> Result<JobId, SessionError> {
         self.ensure_started();
-        if spec.release < self.t {
-            return Err(SessionError::ReleaseInPast { release: spec.release, now: self.t });
-        }
-        let last = self.instance.last_release();
-        if self.instance.num_jobs() > 0 && spec.release < last {
-            return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
-        }
-        let n = spec.graph.n();
-        let id = self.instance.push_job(spec);
-        self.state.push_job(&self.instance);
-        self.node_off.push(self.node_off.last().unwrap() + n);
-        self.node_stamp.resize(self.node_stamp.len() + n, 0);
-        self.job_stamp.push(0);
-        self.probe.on_admit(self.t, id, self.instance.graph(id));
-        Ok(id)
+        self.check_release(spec.release, self.instance.last_release())?;
+        Ok(self.push(spec))
     }
 
     /// Admit a whole batch of jobs in one call. The batch is validated
@@ -246,35 +219,16 @@ impl<P: Probe> Session<P> {
     /// admissions.
     pub fn admit_batch(&mut self, specs: Vec<JobSpec>) -> Result<(), SessionError> {
         self.ensure_started();
-        let mut last = if self.instance.num_jobs() > 0 {
-            Some(self.instance.last_release())
-        } else {
-            None
-        };
+        let mut last = self.instance.last_release();
         let mut total_nodes = 0usize;
         for spec in &specs {
-            if spec.release < self.t {
-                return Err(SessionError::ReleaseInPast { release: spec.release, now: self.t });
-            }
-            if let Some(last) = last {
-                if spec.release < last {
-                    return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
-                }
-            }
-            last = Some(spec.release);
+            self.check_release(spec.release, last)?;
+            last = spec.release;
             total_nodes += spec.graph.n();
         }
-        self.node_off.reserve(specs.len());
-        self.node_stamp.reserve(total_nodes);
-        self.job_stamp.reserve(specs.len());
+        self.run.reserve(specs.len(), total_nodes);
         for spec in specs {
-            let n = spec.graph.n();
-            let id = self.instance.push_job(spec);
-            self.state.push_job(&self.instance);
-            self.node_off.push(self.node_off.last().unwrap() + n);
-            self.node_stamp.resize(self.node_stamp.len() + n, 0);
-            self.job_stamp.push(0);
-            self.probe.on_admit(self.t, id, self.instance.graph(id));
+            self.push(spec);
         }
         Ok(())
     }
@@ -292,116 +246,27 @@ impl<P: Probe> Session<P> {
     pub fn prime_scheduler(&mut self, scheduler: &mut dyn OnlineScheduler) {
         self.ensure_started();
         let clair = scheduler.clairvoyance();
-        let view = SimView::new(&self.instance, &self.state, self.m, clair);
-        for &job in self.state.alive() {
-            scheduler.on_arrival(self.t, job, &view);
+        let state = &self.run.state;
+        let view = SimView::new(&self.instance, state, self.m(), clair);
+        for &job in state.alive() {
+            scheduler.on_arrival(self.now(), job, &view);
         }
     }
 
     /// Simulate until `t_end`, or until the session runs dry (every admitted
-    /// job finished and none pending), whichever comes first. Semantics per
-    /// step are identical to [`Engine::run`](crate::Engine::run): due
-    /// releases fire (with `on_arrival`), all-idle stretches fast-forward,
-    /// selections are validated. Callers feeding from concurrent sources
-    /// must only pass a `t_end` no later than their arrival watermark.
+    /// job finished and none pending), whichever comes first. This is the
+    /// engine's own step loop, so per-step semantics are those of
+    /// [`Engine::run`](crate::Engine::run): due releases fire (with
+    /// `on_arrival`), all-idle stretches fast-forward, selections are
+    /// validated. Callers feeding from concurrent sources must only pass a
+    /// `t_end` no later than their arrival watermark.
     pub fn run_until(
         &mut self,
         t_end: Time,
         scheduler: &mut dyn OnlineScheduler,
     ) -> Result<(), EngineError> {
         self.ensure_started();
-        let clair = scheduler.clairvoyance();
-        while self.t < t_end {
-            if self.state.all_done() {
-                break;
-            }
-            if self.t > self.max_horizon {
-                return Err(EngineError::HorizonExceeded { horizon: self.max_horizon });
-            }
-
-            while let Some(job) = self.state.release_one(&self.instance, self.t) {
-                self.counters.on_release(self.t, job);
-                self.probe.on_release(self.t, job);
-                let view = SimView::new(&self.instance, &self.state, self.m, clair);
-                scheduler.on_arrival(self.t, job, &view);
-            }
-
-            // Idle-gap fast-forward, capped additionally at `t_end`. A gap
-            // split across `run_until` calls replays as the same stepwise
-            // event stream, so probes cannot tell it from the engine's
-            // single-call gap.
-            if self.state.alive().is_empty() {
-                let next = self
-                    .state
-                    .next_release_time(&self.instance)
-                    .expect("no job alive and none pending, yet not all done");
-                debug_assert!(next > self.t, "a release due now was not applied");
-                let end = next.min(t_end).min(self.max_horizon + 1);
-                let gap = end - self.t;
-                self.counters.on_idle_gap(self.t, gap, self.m);
-                self.probe.on_idle_gap(self.t, gap, self.m);
-                self.schedule.push_empty_steps(gap);
-                self.t = end;
-                continue;
-            }
-
-            let ready_depth = self.state.total_ready();
-            self.sel.clear();
-            {
-                let view = SimView::new(&self.instance, &self.state, self.m, clair);
-                scheduler.select(self.t, &view, &mut self.sel);
-            }
-            let picks = self.sel.picks();
-
-            // Stamp validation, exactly as in `Engine::run`.
-            let stamp = self.t + 1;
-            for &(j, v) in picks {
-                if j.index() >= self.instance.num_jobs() || v.index() >= self.instance.graph(j).n()
-                {
-                    return Err(EngineError::NotReady { t: self.t, job: j, node: v });
-                }
-                let slot = &mut self.node_stamp[self.node_off[j.index()] + v.index()];
-                if *slot == stamp {
-                    return Err(EngineError::DuplicateSelection { t: self.t, job: j, node: v });
-                }
-                *slot = stamp;
-                if !self.state.is_ready(j, v) {
-                    return Err(EngineError::NotReady { t: self.t, job: j, node: v });
-                }
-            }
-
-            self.counters.on_select(self.t, picks);
-            self.probe.on_select(self.t, picks);
-            for &(j, v) in picks {
-                self.probe.on_dispatch(self.t, j, v);
-                self.state.complete(&self.instance, j, v, self.t + 1);
-            }
-
-            let stat = StepStat {
-                scheduled: picks.len(),
-                idle_procs: self.m - picks.len(),
-                ready_depth,
-            };
-            self.counters.on_step(self.t, stat);
-            self.probe.on_step(self.t, stat);
-
-            let mut any_finished = false;
-            for &(j, _) in picks {
-                if self.state.unfinished(j) == 0 && self.job_stamp[j.index()] != stamp {
-                    self.job_stamp[j.index()] = stamp;
-                    any_finished = true;
-                    self.counters.on_complete(self.t + 1, j);
-                    self.probe.on_complete(self.t + 1, j);
-                }
-            }
-
-            if any_finished {
-                self.state.prune_alive();
-            }
-            self.schedule.extend_step(picks);
-            self.t += 1;
-        }
-        Ok(())
+        self.run.run_until(&self.instance, t_end, scheduler, &mut self.probe)
     }
 
     /// Finish the session: fire `on_finish`, compute flow statistics, and
@@ -412,13 +277,7 @@ impl<P: Probe> Session<P> {
     /// [`run_until`](Self::run_until)`(Time::MAX, …)` first.
     pub fn finish(mut self) -> (RunReport, Instance) {
         self.ensure_started();
-        self.counters.on_finish(self.t);
-        self.probe.on_finish(self.t);
-        let stats = self.counters.flow_stats();
-        (
-            RunReport { schedule: self.schedule, stats, counters: self.counters },
-            self.instance,
-        )
+        (self.run.finish(&mut self.probe), self.instance)
     }
 }
 
@@ -427,26 +286,10 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::probe::JsonlTrace;
-    use crate::scheduler::Clairvoyance;
+    use crate::scheduler::testing::{Greedy, Lazy};
+    use crate::scheduler::{Clairvoyance, Selection};
     use flowtree_dag::builder::{chain, star};
     use flowtree_dag::NodeId;
-
-    struct Greedy;
-
-    impl OnlineScheduler for Greedy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-            for &job in view.alive() {
-                for &v in view.ready(job) {
-                    if !sel.push(job, NodeId(v)) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 
     fn specs() -> Vec<JobSpec> {
         vec![
@@ -692,13 +535,6 @@ mod tests {
 
     #[test]
     fn lazy_scheduler_hits_session_horizon() {
-        struct Lazy;
-        impl OnlineScheduler for Lazy {
-            fn clairvoyance(&self) -> Clairvoyance {
-                Clairvoyance::NonClairvoyant
-            }
-            fn select(&mut self, _t: Time, _v: &SimView<'_>, _s: &mut Selection) {}
-        }
         let mut s = Session::new(2).with_max_horizon(20);
         s.admit(JobSpec { graph: chain(2), release: 0 }).unwrap();
         let err = s.run_until(Time::MAX, &mut Lazy).unwrap_err();

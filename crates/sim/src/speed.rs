@@ -85,27 +85,8 @@ impl SpeedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Clairvoyance, Selection, SimView};
+    use crate::scheduler::testing::Greedy;
     use flowtree_dag::builder::{chain, star};
-    use flowtree_dag::NodeId;
-
-    /// Local greedy FIFO-ish scheduler for tests (core's FIFO lives
-    /// downstream of sim, so tests here use a minimal stand-in).
-    struct Greedy;
-    impl OnlineScheduler for Greedy {
-        fn clairvoyance(&self) -> Clairvoyance {
-            Clairvoyance::NonClairvoyant
-        }
-        fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-            for &job in view.alive() {
-                for &v in view.ready(job) {
-                    if !sel.push(job, NodeId(v)) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn speed_one_equals_normal_run() {

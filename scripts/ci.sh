@@ -12,6 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+# perfbench is its own workspace, so the workspace build above skips it; build
+# it here so a public-API change that breaks the benchmark fails CI.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
