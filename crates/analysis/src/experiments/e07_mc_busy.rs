@@ -43,16 +43,16 @@ pub fn run(effort: Effort) -> Report {
         if levels.len() <= opt as usize {
             continue; // no tail: job fits in its head
         }
-        let tail: Vec<Vec<u32>> = levels[opt as usize..].to_vec();
+        let tail = &levels[opt as usize..];
         let work: usize = tail.iter().map(Vec::len).sum();
         for (pat_name, mut grant) in patterns(p) {
-            let mut mc = McReplay::new(&g, tail.clone());
+            let mut mc = McReplay::new(&g, tail);
             let mut steps = 0usize;
             let mut full = 0usize;
             while !mc.is_done() {
                 steps += 1;
                 let m_t = grant(steps);
-                let got = mc.next(m_t).len();
+                let got = mc.next(m_t, |_| {});
                 if got == m_t || mc.is_done() {
                     full += 1;
                 }

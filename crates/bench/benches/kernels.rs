@@ -32,18 +32,18 @@ fn bench_mc(c: &mut Criterion) {
     let p = 16;
     let opt = DepthProfile::new(&g).opt_single_job(64);
     let levels = lpf_levels(&g, p);
-    let tail: Vec<Vec<u32>> = levels[(opt as usize).min(levels.len())..].to_vec();
+    let tail = &levels[(opt as usize).min(levels.len())..];
     let work: u64 = tail.iter().map(|l| l.len() as u64).sum();
     c.benchmark_group("mc_replay")
         .throughput(Throughput::Elements(work))
         .bench_function("sawtooth_grants", |b| {
             b.iter(|| {
-                let mut mc = McReplay::new(&g, tail.clone());
+                let mut mc = McReplay::new(&g, tail);
                 let mut step = 0usize;
                 let mut total = 0usize;
                 while !mc.is_done() {
                     step += 1;
-                    total += mc.next(1 + step % p).len();
+                    total += mc.next(1 + step % p, |_| {});
                 }
                 black_box(total)
             })

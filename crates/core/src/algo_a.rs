@@ -23,8 +23,8 @@
 //! With [`AlgoA::with_batching`], arrivals at arbitrary times are deferred to
 //! the next block boundary (the Section 5.4 reduction, costing a factor ≤ 2).
 
-use crate::lpf::lpf_levels_forest;
-use crate::mc::McReplay;
+use crate::lpf::{lpf_levels_forest, FlatLevels, LpfScratch};
+use crate::mc::{McReplay, JOIN, NO_PARENT};
 use flowtree_dag::{JobGraph, JobId, NodeId, Time};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
 
@@ -37,16 +37,20 @@ pub(crate) struct PendingJob {
     pub remaining: Option<Vec<bool>>,
 }
 
-/// One group of jobs released (or deferred to) the same block boundary.
+/// One group of jobs released (or deferred to) the same block boundary,
+/// laid out flat over **group ids**: node `v` of the `k`-th member is `v`
+/// plus the node counts of members `0..k`. Nodes a restart mask excludes
+/// keep their ids but appear in no level.
 struct Group {
     /// Block boundary at which the group started executing.
     start: Time,
-    /// Union node -> (job, original node).
+    /// Group id -> (job, original node).
     origin: Vec<(JobId, u32)>,
-    /// The union out-forest (over remaining nodes only).
-    union: JobGraph,
-    /// `S` = LPF(union, m/α): levels of union-node ids.
-    levels: Vec<Vec<u32>>,
+    /// Group id -> parent's group id ([`NO_PARENT`] for roots and for nodes
+    /// whose parent already ran; [`JOIN`] for nodes with several).
+    parent: Vec<u32>,
+    /// `S` = LPF(group, m/α), as group ids.
+    levels: FlatLevels,
     /// Tail replay, created when the group leaves the head phase.
     mc: Option<McReplay>,
 }
@@ -67,8 +71,8 @@ pub struct AlgoA {
     batching: bool,
     pending: Vec<PendingJob>,
     groups: Vec<Group>,
-    /// Total subjobs scheduled (for diagnostics).
-    scheduled: u64,
+    /// Buffers reused by every group's LPF computation.
+    lpf: LpfScratch,
 }
 
 impl AlgoA {
@@ -94,7 +98,7 @@ impl AlgoA {
             batching,
             pending: Vec::new(),
             groups: Vec::new(),
-            scheduled: 0,
+            lpf: LpfScratch::default(),
         }
     }
 
@@ -119,53 +123,45 @@ impl AlgoA {
         m / self.alpha
     }
 
-    /// Form a group from all pending jobs at boundary `t`.
+    /// Form a group from all pending jobs at boundary `t`. The members'
+    /// graphs are read in place: no union graph is built.
     fn form_group(&mut self, t: Time, view: &SimView<'_>) {
         if self.pending.is_empty() {
             return;
         }
         let p = self.slice(view.m());
-        let pending = std::mem::take(&mut self.pending);
-
-        // Build the union of (remaining portions of) member graphs.
-        let mut parts: Vec<JobGraph> = Vec::with_capacity(pending.len());
-        let mut part_origin: Vec<Vec<(JobId, u32)>> = Vec::with_capacity(pending.len());
-        for pj in &pending {
-            let g = view.graph(pj.job);
-            match &pj.remaining {
-                None => {
-                    parts.push(g.clone());
-                    part_origin.push((0..g.n() as u32).map(|v| (pj.job, v)).collect());
-                }
-                Some(mask) => {
-                    debug_assert!(
-                        crate::lpf::descendant_closed(g, mask),
-                        "remaining set must be descendant-closed"
-                    );
-                    let (sub, old) = g.induced_subgraph(mask);
-                    part_origin.push(old.iter().map(|&v| (pj.job, v)).collect());
-                    parts.push(sub);
-                }
-            }
-        }
-        let refs: Vec<&JobGraph> = parts.iter().collect();
-        let (union, offsets) = JobGraph::disjoint_union(&refs);
-        let mut origin = vec![(JobId(0), 0u32); union.n()];
-        for (pi, po) in part_origin.iter().enumerate() {
-            for (local, &orig) in po.iter().enumerate() {
-                origin[offsets[pi] as usize + local] = orig;
-            }
-        }
-
-        // S = LPF(union, m/alpha). (Computed via the forest entry point so a
-        // future optimization could skip the materialized union.)
-        let levels_pairs = lpf_levels_forest(&[(&union, None)], p);
-        let levels: Vec<Vec<u32>> = levels_pairs
-            .into_iter()
-            .map(|l| l.into_iter().map(|(_, v)| v).collect())
+        let parts: Vec<(&JobGraph, Option<&[bool]>)> = self
+            .pending
+            .iter()
+            .map(|pj| (view.graph(pj.job), pj.remaining.as_deref()))
             .collect();
+        let n = parts.iter().map(|(g, _)| g.n()).sum();
+        let mut origin = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n);
+        for (pj, &(g, mask)) in self.pending.iter().zip(&parts) {
+            let base = origin.len() as u32;
+            let included = |v: u32| mask.is_none_or(|m| m[v as usize]);
+            for v in g.nodes() {
+                origin.push((pj.job, v.0));
+                if !included(v.0) {
+                    parent.push(NO_PARENT);
+                    continue;
+                }
+                let mut ps = g.parents(v).iter().filter(|&&u| included(u));
+                parent.push(match (ps.next(), ps.next()) {
+                    (None, _) => NO_PARENT,
+                    (Some(&u), None) => base + u,
+                    (Some(_), Some(_)) => JOIN,
+                });
+            }
+        }
 
-        self.groups.push(Group { start: t, origin, union, levels, mc: None });
+        // S = LPF(group, m/alpha).
+        let mut levels = FlatLevels::default();
+        lpf_levels_forest(&parts, p, &mut self.lpf, &mut levels);
+        self.pending.clear();
+
+        self.groups.push(Group { start: t, origin, parent, levels, mc: None });
     }
 }
 
@@ -196,7 +192,6 @@ impl OnlineScheduler for AlgoA {
                 let age = t - g.start;
                 if age >= opt && g.mc.is_none() {
                     let executed = (age as usize).min(g.levels.len());
-                    let tail: Vec<Vec<u32>> = g.levels[executed..].to_vec();
                     // When the working estimate is valid (2·half >= the
                     // group's true OPT on the full machine), Lemma 5.2
                     // makes this tail a full-width rectangle and Lemma 5.5
@@ -206,7 +201,8 @@ impl OnlineScheduler for AlgoA {
                     // the resulting slow progress is what triggers the next
                     // doubling. So no rectangularity assertion here — the
                     // property is validated where it is guaranteed (E2/E7).
-                    g.mc = Some(McReplay::new(&g.union, tail));
+                    let tail = &g.levels.level_start[executed..];
+                    g.mc = Some(McReplay::from_flat(&g.parent, tail, &g.levels.nodes));
                 }
             }
             // New group from everything pending.
@@ -215,16 +211,14 @@ impl OnlineScheduler for AlgoA {
 
         // Phase 1 & 2: young groups (age < opt) replay S verbatim on their
         // dedicated m/alpha slice.
-        for g in &mut self.groups {
+        for g in &self.groups {
             let age = t - g.start;
             if age < opt {
-                if let Some(level) = g.levels.get(age as usize) {
+                if let Some(level) = g.levels.level(age as usize) {
                     debug_assert!(level.len() <= p);
                     for &v in level {
                         let (job, orig) = g.origin[v as usize];
-                        let ok = sel.push(job, NodeId(orig));
-                        debug_assert!(ok, "young slices exceeded capacity");
-                        self.scheduled += 1;
+                        assert!(sel.push(job, NodeId(orig)), "young slices exceeded capacity");
                     }
                 }
             }
@@ -245,12 +239,10 @@ impl OnlineScheduler for AlgoA {
             if m_t == 0 {
                 break;
             }
-            for v in mc.next(m_t) {
+            mc.next(m_t, |v| {
                 let (job, orig) = g.origin[v as usize];
-                let ok = sel.push(job, NodeId(orig));
-                debug_assert!(ok);
-                self.scheduled += 1;
-            }
+                assert!(sel.push(job, NodeId(orig)), "MC grant exceeded capacity");
+            });
         }
 
         // Garbage-collect finished groups.

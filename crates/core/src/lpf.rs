@@ -7,10 +7,11 @@
 //! For a single out-forest job the paper proves (Lemma 5.3, Corollary 5.4)
 //! that LPF on `m` processors is *optimal* for maximum flow, and on `m/α`
 //! processors is α-competitive against the optimum on `m`. The materialized
-//! LPF schedule ([`lpf_levels`]) is the building block of Algorithm 𝒜: its
-//! first `OPT` steps are the **head**, the rest is the **tail**, and by
-//! Lemma 5.2 the tail is a full `m/α`-wide rectangle except possibly its
-//! last step ([`head_tail`], [`RectangleTail`]).
+//! LPF schedule ([`lpf_levels_forest`], flat; [`lpf_levels`], nested) is the
+//! building block of Algorithm 𝒜: its first `OPT` steps are the **head**,
+//! the rest is the **tail**, and by Lemma 5.2 the tail is a full `m/α`-wide
+//! rectangle except possibly its last step ([`head_tail`],
+//! [`RectangleTail`]).
 //!
 //! This module also provides the multi-job [`Lpf`] online scheduler (FIFO
 //! across jobs, LPF within a job) used as a strong clairvoyant baseline.
@@ -41,23 +42,101 @@ pub fn lpf_levels(g: &JobGraph, p: usize) -> Vec<Vec<u32>> {
 /// The remaining set must be **descendant-closed** (if `v` is remaining, so
 /// are all its descendants) — this is exactly the shape of "not yet
 /// executed" sets, and it means restricted heights equal full-graph heights.
-/// Used by the guess-and-double wrapper, which restarts Algorithm 𝒜 on the
-/// unexecuted portions of jobs.
+/// A nested-`Vec` adapter over [`lpf_levels_forest`] for experiments and
+/// tests.
 pub fn lpf_levels_restricted(g: &JobGraph, remaining: Option<&[bool]>, p: usize) -> Vec<Vec<u32>> {
-    let picks = lpf_levels_forest(&[(g, remaining)], p);
-    picks
-        .into_iter()
-        .map(|level| level.into_iter().map(|(_, v)| v).collect())
-        .collect()
+    let mut out = FlatLevels::default();
+    lpf_levels_forest(&[(g, remaining)], p, &mut LpfScratch::default(), &mut out);
+    out.to_nested()
+}
+
+/// A level schedule stored flat: level `i` (step `i + 1`) is
+/// `nodes[level_start[i]..level_start[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatLevels {
+    /// Offsets into `nodes`; one more entry than there are levels.
+    pub level_start: Vec<u32>,
+    /// The levels' node ids, concatenated.
+    pub nodes: Vec<u32>,
+}
+
+impl Default for FlatLevels {
+    fn default() -> Self {
+        FlatLevels { level_start: vec![0], nodes: Vec::new() }
+    }
+}
+
+impl FlatLevels {
+    /// Flatten nested levels.
+    pub fn from_nested(levels: &[Vec<u32>]) -> Self {
+        let mut out = FlatLevels::default();
+        for level in levels {
+            out.nodes.extend_from_slice(level);
+            out.level_start.push(out.nodes.len() as u32);
+        }
+        out
+    }
+
+    /// Number of levels (the schedule's length in steps).
+    pub fn len(&self) -> usize {
+        self.level_start.len() - 1
+    }
+
+    /// Is the schedule empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The nodes of level `i`, or `None` past the end.
+    pub fn level(&self, i: usize) -> Option<&[u32]> {
+        let end = *self.level_start.get(i + 1)? as usize;
+        Some(&self.nodes[self.level_start[i] as usize..end])
+    }
+
+    /// The levels as one `Vec` each.
+    pub fn to_nested(&self) -> Vec<Vec<u32>> {
+        self.level_start
+            .windows(2)
+            .map(|w| self.nodes[w[0] as usize..w[1] as usize].to_vec())
+            .collect()
+    }
+}
+
+/// Buffers [`lpf_levels_forest`] reuses across calls, so a scheduler that
+/// computes one LPF schedule per block boundary allocates only when a group
+/// outgrows every earlier one.
+#[derive(Debug, Default)]
+pub struct LpfScratch {
+    /// Forest id of each part's node 0.
+    base: Vec<u32>,
+    /// Height of each forest node.
+    height: Vec<u32>,
+    /// Included parents of each forest node that have not run yet.
+    waiting: Vec<u32>,
+    /// Per height, the next ready node to take from `ready`.
+    head: Vec<u32>,
+    /// Per height, one past the last ready node in `ready`.
+    tail: Vec<u32>,
+    /// Ready queues of all heights, one contiguous run per height (each
+    /// node becomes ready exactly once, so a counting sort sizes the runs).
+    ready: Vec<u32>,
 }
 
 /// LPF schedule of a *forest of jobs released together*: each entry of
 /// `parts` is a graph plus an optional remaining mask (descendant-closed,
-/// see [`lpf_levels_restricted`]). Returns levels of `(part index, node)`.
+/// see [`lpf_levels_restricted`]). Writes the levels into `out` as forest
+/// ids: node `v` of part `k` is `v` plus the node counts of parts `0..k`.
+/// Masked-out nodes keep their ids and appear in no level.
 ///
 /// All parts are treated as one out-forest (the paper's "view all the jobs
-/// arriving at the same time as being one job", Section 5.3).
-pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Vec<Vec<(u32, u32)>> {
+/// arriving at the same time as being one job", Section 5.3). The member
+/// graphs are read in place; no union graph is built.
+pub fn lpf_levels_forest(
+    parts: &[(&JobGraph, Option<&[bool]>)],
+    p: usize,
+    scratch: &mut LpfScratch,
+    out: &mut FlatLevels,
+) {
     assert!(p >= 1, "need at least one processor");
     for (g, mask) in parts {
         if let Some(mask) = mask {
@@ -65,86 +144,112 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
             debug_assert!(descendant_closed(g, mask), "mask not descendant-closed");
         }
     }
+    let LpfScratch { base, height, waiting, head, tail, ready } = scratch;
+    base.clear();
+    let mut n = 0;
+    for (g, _) in parts {
+        base.push(n as u32);
+        n += g.n();
+    }
+    height.resize(n, 0);
+    waiting.resize(n, 0);
 
-    let included = |pi: usize, v: u32| -> bool { parts[pi].1.is_none_or(|m| m[v as usize]) };
-
-    // Heights per part (restricted heights == full heights on a
-    // descendant-closed set).
-    let heights: Vec<Vec<u32>> = parts.iter().map(|(g, _)| g.heights()).collect();
-    let max_h = heights.iter().flat_map(|h| h.iter().copied()).max().unwrap_or(0) as usize;
-
-    // Buckets of ready nodes by height; cur scans downward. General DAGs
-    // are supported: a node becomes ready when its *last* included parent
-    // completes (indegree countdown), which degenerates to the single-parent
-    // rule on out-forests.
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_h + 1];
-    let mut indeg: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
-    let mut total_remaining = 0usize;
-    for (pi, (g, _)) in parts.iter().enumerate() {
-        let mut part_indeg = vec![0u32; g.n()];
-        for v in 0..g.n() as u32 {
-            if !included(pi, v) {
-                continue;
-            }
-            total_remaining += 1;
-            let unfinished_parents =
-                g.parents(flowtree_dag::NodeId(v)).iter().filter(|&&u| included(pi, u)).count()
-                    as u32;
-            part_indeg[v as usize] = unfinished_parents;
-            if unfinished_parents == 0 {
-                buckets[heights[pi][v as usize] as usize].push((pi as u32, v));
+    // Heights (restricted heights == full heights on a descendant-closed
+    // set) and, per height, the number of included nodes.
+    for ((g, _), &b) in parts.iter().zip(base.iter()) {
+        g.heights_into(&mut height[b as usize..b as usize + g.n()]);
+    }
+    let max_h = height.iter().copied().max().unwrap_or(0) as usize;
+    tail.clear();
+    tail.resize(max_h + 2, 0);
+    for ((g, mask), &b) in parts.iter().zip(base.iter()) {
+        for v in 0..g.n() {
+            if mask.is_none_or(|m| m[v]) {
+                tail[height[b as usize + v] as usize + 1] += 1;
             }
         }
-        indeg.push(part_indeg);
+    }
+    for h in 1..tail.len() {
+        tail[h] += tail[h - 1];
+    }
+    let total = tail[max_h + 1] as usize;
+    head.clear();
+    head.extend_from_slice(&tail[..=max_h]);
+    tail.truncate(max_h + 1);
+    ready.resize(total, 0);
+
+    // Seed the queues with the nodes whose included parents have all run.
+    // General DAGs are supported: a node becomes ready when its *last*
+    // included parent completes (countdown in `waiting`), which degenerates
+    // to the single-parent rule on out-forests.
+    for ((g, mask), &b) in parts.iter().zip(base.iter()) {
+        let included = |v: u32| mask.is_none_or(|m| m[v as usize]);
+        for v in g.nodes() {
+            if !included(v.0) {
+                continue;
+            }
+            let id = b + v.0;
+            let w = g.parents(v).iter().filter(|&&u| included(u)).count() as u32;
+            waiting[id as usize] = w;
+            if w == 0 {
+                let h = height[id as usize] as usize;
+                ready[tail[h] as usize] = id;
+                tail[h] += 1;
+            }
+        }
     }
 
-    let mut levels: Vec<Vec<(u32, u32)>> = Vec::new();
+    out.level_start.clear();
+    out.level_start.push(0);
+    out.nodes.clear();
+    out.nodes.reserve(total);
+    let mut left = total;
     let mut cur = max_h;
-    while total_remaining > 0 {
-        let mut step: Vec<(u32, u32)> = Vec::with_capacity(p);
-        while step.len() < p {
-            while cur > 0 && buckets[cur].is_empty() {
+    while left > 0 {
+        let step = out.nodes.len();
+        while out.nodes.len() - step < p {
+            while cur > 0 && head[cur] == tail[cur] {
                 cur -= 1;
             }
             if cur == 0 {
                 break;
             }
-            // Take from the tallest bucket, oldest-inserted first.
-            let bucket = &mut buckets[cur];
-            let take = (p - step.len()).min(bucket.len());
-            step.extend(bucket.drain(..take));
+            // Take from the tallest queue, oldest-inserted first.
+            let take = (p - (out.nodes.len() - step)).min((tail[cur] - head[cur]) as usize);
+            let from = head[cur] as usize;
+            out.nodes.extend_from_slice(&ready[from..from + take]);
+            head[cur] += take as u32;
         }
-        debug_assert!(!step.is_empty(), "no ready node but work remains");
-        total_remaining -= step.len();
+        let picked = out.nodes.len() - step;
+        debug_assert!(picked > 0, "no ready node but work remains");
+        left -= picked;
         // Enable children only after the step is closed (same-step children
         // must not be picked).
-        let mut newly_ready: Vec<(u32, u32)> = Vec::new();
-        for &(pi, v) in &step {
-            let g = parts[pi as usize].0;
-            for &c in g.children(flowtree_dag::NodeId(v)) {
-                if included(pi as usize, c) {
-                    let d = &mut indeg[pi as usize][c as usize];
-                    *d -= 1;
-                    if *d == 0 {
-                        newly_ready.push((pi, c));
+        for i in step..out.nodes.len() {
+            let id = out.nodes[i];
+            // Forest ids rise with the part index.
+            let k = base.partition_point(|&b| b <= id) - 1;
+            let (g, mask) = parts[k];
+            for &c in g.children(flowtree_dag::NodeId(id - base[k])) {
+                if mask.is_none_or(|m| m[c as usize]) {
+                    let cid = base[k] + c;
+                    let w = &mut waiting[cid as usize];
+                    *w -= 1;
+                    if *w == 0 {
+                        let h = height[cid as usize] as usize;
+                        ready[tail[h] as usize] = cid;
+                        tail[h] += 1;
+                        cur = cur.max(h);
                     }
                 }
             }
         }
-        for (pi, c) in newly_ready {
-            let h = heights[pi as usize][c as usize] as usize;
-            buckets[h].push((pi, c));
-            if h > cur {
-                cur = h;
-            }
-        }
-        levels.push(step);
+        out.level_start.push(out.nodes.len() as u32);
     }
-    levels
 }
 
 /// Is `mask` descendant-closed in `g` (every child of a remaining node is
-/// remaining)? Debug-checked by the restricted LPF variants.
+/// remaining)? Debug-checked by [`lpf_levels_forest`] on every mask.
 pub fn descendant_closed(g: &JobGraph, mask: &[bool]) -> bool {
     g.nodes()
         .all(|v| !mask[v.index()] || g.children(v).iter().all(|&c| mask[c as usize]))
@@ -359,13 +464,29 @@ mod tests {
     fn forest_lpf_mixes_parts_by_height() {
         let a = chain(3); // heights 3,2,1
         let b = star(4); // heights 2,1,1,1,1
-        let levels = lpf_levels_forest(&[(&a, None), (&b, None)], 2);
-        // Step 1: chain head (h=3) and star root (h=2).
-        assert_eq!(levels[0], vec![(0, 0), (1, 0)]);
+        let mut out = FlatLevels::default();
+        lpf_levels_forest(&[(&a, None), (&b, None)], 2, &mut LpfScratch::default(), &mut out);
+        // Step 1: chain head (h=3) and star root (h=2, forest id 3 + 0).
+        assert_eq!(out.level(0), Some(&[0, 3][..]));
         // Total work 8 on p=2 with enough parallelism: 4 steps.
-        assert_eq!(levels.len(), 4);
-        let total: usize = levels.iter().map(Vec::len).sum();
-        assert_eq!(total, 8);
+        assert_eq!(out.len(), 4);
+        assert_eq!(out.nodes.len(), 8);
+    }
+
+    #[test]
+    fn forest_lpf_skips_masked_nodes_and_reuses_scratch() {
+        // One scratch across calls of different sizes must not leak state.
+        let mut scratch = LpfScratch::default();
+        let mut out = FlatLevels::default();
+        let big = complete_kary(3, 4);
+        lpf_levels_forest(&[(&big, None)], 3, &mut scratch, &mut out);
+        assert_eq!(out.to_nested(), lpf_levels(&big, 3));
+        // chain(4) with its first two nodes run, then star(2) whole.
+        let (a, b) = (chain(4), star(2));
+        let mask = [false, false, true, true];
+        lpf_levels_forest(&[(&a, Some(&mask)), (&b, None)], 2, &mut scratch, &mut out);
+        assert_eq!(out.to_nested(), vec![vec![2, 4], vec![3, 5], vec![6]]);
+        assert_eq!(FlatLevels::from_nested(&out.to_nested()), out);
     }
 
     #[test]

@@ -12,30 +12,38 @@
 //! subjobs enabled as possible, so it can always "borrow" work from the next
 //! level when granted more processors than the current level has left.
 
+use crate::lpf::FlatLevels;
 use flowtree_dag::JobGraph;
+
+/// `parent` entry of a root (or of a node whose parents all ran already).
+pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// `parent` entry of a node with several parents still to run: such a job
+/// is not an out-forest, and [`McReplay::from_flat`] rejects it.
+pub(crate) const JOIN: u32 = u32::MAX - 1;
+
+/// `done_step` of a node MC has not run yet.
+const UNRUN: u32 = u32::MAX;
 
 /// Replays a level schedule under fluctuating processor grants.
 #[derive(Debug, Clone)]
 pub struct McReplay {
-    /// For each level, nodes sorted by (children-in-next-level) descending,
-    /// stable by original in-level order.
-    levels: Vec<Vec<u32>>,
+    /// The replayed levels' `(node, parent)` pairs, each level sorted by
+    /// children-in-next-level descending, stable by original in-level order.
+    order: Vec<(u32, u32)>,
+    /// Offsets of the levels in `order`; one more entry than levels.
+    level_start: Vec<u32>,
+    /// Per level, how many of its nodes are still unprocessed.
+    remaining_in_level: Vec<u32>,
     /// Earliest level that still has unprocessed nodes.
     front: usize,
-    /// Per level, how many of its (sorted) nodes are already processed —
-    /// NOT usable directly since we skip unready nodes; instead keep
-    /// per-node processed flags and per-level remaining counts.
-    processed: Vec<bool>,
     /// Step at which each node was processed (for same-step readiness
-    /// checks); usize::MAX = unprocessed.
-    processed_step: Vec<usize>,
-    remaining_in_level: Vec<usize>,
-    /// Parent of each node (u32::MAX for roots) — out-forest structure.
-    parent: Vec<u32>,
+    /// checks); `UNRUN` = unprocessed, 0 = ran before the replay started.
+    done_step: Vec<u32>,
     /// Total unprocessed nodes.
     remaining: usize,
     /// Current step counter (one per `next` call).
-    step: usize,
+    step: u32,
 }
 
 impl McReplay {
@@ -43,70 +51,77 @@ impl McReplay {
     /// e.g. an LPF tail — level `i` runs before level `i+1`). `graph` must
     /// be an out-forest. Nodes listed in `levels` are exactly the ones MC
     /// will run; nodes of `graph` absent from `levels` are treated as
-    /// already executed.
-    pub fn new(graph: &JobGraph, levels: Vec<Vec<u32>>) -> Self {
-        let n = graph.n();
-        let mut level_of = vec![usize::MAX; n];
-        for (li, level) in levels.iter().enumerate() {
-            for &v in level {
-                assert!(level_of[v as usize] == usize::MAX, "node v{v} appears twice in levels");
-                level_of[v as usize] = li;
+    /// already executed. A wrapper over the flat constructor Algorithm 𝒜
+    /// uses.
+    pub fn new(graph: &JobGraph, levels: &[Vec<u32>]) -> Self {
+        let parent: Vec<u32> = graph
+            .nodes()
+            .map(|v| match graph.parents(v) {
+                [] => NO_PARENT,
+                &[p] => p,
+                _ => JOIN,
+            })
+            .collect();
+        let flat = FlatLevels::from_nested(levels);
+        Self::from_flat(&parent, &flat.level_start, &flat.nodes)
+    }
+
+    /// Build a replay from a flat level schedule: level `i` is
+    /// `nodes[level_start[i]..level_start[i + 1]]`, so passing
+    /// `&level_start[k..]` replays everything from level `k` on without
+    /// copying the levels out first. `parent[v]` is `v`'s parent,
+    /// [`NO_PARENT`] or [`JOIN`]; it also fixes the node count. Nodes absent
+    /// from the levels are treated as already executed.
+    pub(crate) fn from_flat(parent: &[u32], level_start: &[u32], nodes: &[u32]) -> Self {
+        assert!(!parent.contains(&JOIN), "MC replay requires an out-forest");
+        let levels = level_start.len().saturating_sub(1);
+        let first = level_start.first().map_or(0, |&s| s as usize);
+        let last = level_start.last().map_or(0, |&s| s as usize);
+        let tail = &nodes[first..last];
+
+        // `done_step` first holds each node's level (`UNRUN` = not replayed).
+        let mut done_step = vec![UNRUN; parent.len()];
+        for li in 0..levels {
+            for &v in &nodes[level_start[li] as usize..level_start[li + 1] as usize] {
+                assert!(done_step[v as usize] == UNRUN, "node v{v} appears twice in levels");
+                done_step[v as usize] = li as u32;
             }
         }
         // children-in-next-level counts.
-        let mut next_children = vec![0u32; n];
-        let mut parent = vec![u32::MAX; n];
-        for v in graph.nodes() {
-            let ps = graph.parents(v);
-            assert!(ps.len() <= 1, "MC replay requires an out-forest");
-            if let Some(&p) = ps.first() {
-                parent[v.index()] = p;
-                let (lv, lp) = (level_of[v.index()], level_of[p as usize]);
-                if lv != usize::MAX && lp != usize::MAX {
-                    assert!(lp < lv, "levels violate precedence for v{}", v.0);
-                    if lv == lp + 1 {
-                        next_children[p as usize] += 1;
-                    }
+        let mut next_children = vec![0u32; parent.len()];
+        for &v in tail {
+            let p = parent[v as usize];
+            if p != NO_PARENT && done_step[p as usize] != UNRUN {
+                let (lv, lp) = (done_step[v as usize], done_step[p as usize]);
+                assert!(lp < lv, "levels violate precedence for v{v}");
+                if lv == lp + 1 {
+                    next_children[p as usize] += 1;
                 }
             }
         }
-        // Sort each level by next_children desc (stable). Keys are gathered
-        // once per node into a reused scratch, so the comparator works on a
-        // packed (key, node) pair instead of chasing `next_children` twice
-        // per comparison.
-        let mut sorted = levels;
-        let mut keyed: Vec<(u32, u32)> = Vec::new();
-        for level in &mut sorted {
-            keyed.clear();
-            keyed.extend(level.iter().map(|&v| (next_children[v as usize], v)));
-            // Stable sort on the key alone preserves original in-level order
-            // among equal-fanout nodes.
-            keyed.sort_by_key(|&(k, _)| std::cmp::Reverse(k));
-            for (slot, &(_, v)) in level.iter_mut().zip(&keyed) {
-                *slot = v;
-            }
+        // Sort each level by next_children desc. A stable sort on the key
+        // alone preserves original in-level order among equal-fanout nodes.
+        let mut order: Vec<(u32, u32)> = tail.iter().map(|&v| (v, parent[v as usize])).collect();
+        let mut start = Vec::with_capacity(levels + 1);
+        let mut remaining_in_level = Vec::with_capacity(levels);
+        for w in level_start.windows(2) {
+            let (a, b) = (w[0] as usize - first, w[1] as usize - first);
+            order[a..b].sort_by_key(|&(v, _)| std::cmp::Reverse(next_children[v as usize]));
+            start.push(a as u32);
+            remaining_in_level.push((b - a) as u32);
         }
-        let remaining_in_level: Vec<usize> = sorted.iter().map(Vec::len).collect();
-        let remaining = remaining_in_level.iter().sum();
-        // Nodes outside `levels` count as processed (in the infinite past).
-        let processed: Vec<bool> = (0..n).map(|v| level_of[v] == usize::MAX).collect();
-        let processed_step: Vec<usize> = (0..n)
-            .map(|v| {
-                if level_of[v] == usize::MAX {
-                    0
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect();
+        start.push(tail.len() as u32);
+        // Nodes outside the levels count as processed (in the infinite past).
+        for d in &mut done_step {
+            *d = if *d == UNRUN { 0 } else { UNRUN };
+        }
         McReplay {
-            levels: sorted,
-            front: 0,
-            processed,
-            processed_step,
+            order,
+            level_start: start,
             remaining_in_level,
-            parent,
-            remaining,
+            front: 0,
+            done_step,
+            remaining: tail.len(),
             step: 0,
         }
     }
@@ -121,45 +136,43 @@ impl McReplay {
         self.remaining == 0
     }
 
-    /// Run one step with `m_t` granted processors; returns the node ids MC
-    /// schedules this step (possibly fewer than `m_t` only when the job is
-    /// about to finish — Lemma 5.5).
-    pub fn next(&mut self, m_t: usize) -> Vec<u32> {
+    /// Run one step with `m_t` granted processors: hands each node MC
+    /// schedules this step to `emit`, in pick order, and returns how many
+    /// it scheduled (fewer than `m_t` only when the job is about to finish
+    /// — Lemma 5.5).
+    pub fn next(&mut self, m_t: usize, mut emit: impl FnMut(u32)) -> usize {
         self.step += 1;
         let step = self.step;
-        let mut picks: Vec<u32> = Vec::with_capacity(m_t.min(self.remaining));
+        let mut picked = 0;
         let mut li = self.front;
-        while picks.len() < m_t && li < self.levels.len() {
+        while picked < m_t && li < self.remaining_in_level.len() {
             if self.remaining_in_level[li] == 0 {
                 li += 1;
                 continue;
             }
             // Scan the level's (priority-sorted) nodes; take ready ones.
             let mut advanced = false;
-            // Iterate over a snapshot of indices to allow mutation.
-            for idx in 0..self.levels[li].len() {
-                if picks.len() >= m_t {
+            let level = self.level_start[li] as usize..self.level_start[li + 1] as usize;
+            for &(v, p) in &self.order[level] {
+                if picked >= m_t {
                     break;
                 }
-                let v = self.levels[li][idx];
-                if self.processed[v as usize] {
+                if self.done_step[v as usize] != UNRUN {
                     continue;
                 }
-                let p = self.parent[v as usize];
-                let ready = p == u32::MAX
-                    || (self.processed[p as usize] && self.processed_step[p as usize] < step);
-                if ready {
-                    self.processed[v as usize] = true;
-                    self.processed_step[v as usize] = step;
+                // `UNRUN` is never below `step`.
+                if p == NO_PARENT || self.done_step[p as usize] < step {
+                    self.done_step[v as usize] = step;
                     self.remaining_in_level[li] -= 1;
                     self.remaining -= 1;
-                    picks.push(v);
+                    picked += 1;
+                    emit(v);
                     advanced = true;
                 }
             }
             if self.remaining_in_level[li] == 0 {
                 li += 1;
-            } else if !advanced || picks.len() < m_t {
+            } else if !advanced || picked < m_t {
                 // Unready stragglers remain in this level (their parents ran
                 // this very step) — nothing deeper can be ready either
                 // (out-forest: a deeper node's parent is in this level or
@@ -168,10 +181,11 @@ impl McReplay {
             }
         }
         // Advance the front past exhausted levels.
-        while self.front < self.levels.len() && self.remaining_in_level[self.front] == 0 {
+        while self.front < self.remaining_in_level.len() && self.remaining_in_level[self.front] == 0
+        {
             self.front += 1;
         }
-        picks
+        picked
     }
 }
 
@@ -182,11 +196,18 @@ mod tests {
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
     use flowtree_dag::{DepthProfile, GraphBuilder};
 
+    /// One step's picks, collected.
+    fn picks(mc: &mut McReplay, m_t: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        mc.next(m_t, |v| out.push(v));
+        out
+    }
+
     /// Drive MC with a grant sequence; check feasibility of the produced
     /// order and Lemma 5.5 (full grants until done). Returns steps taken.
     fn drive(
         graph: &JobGraph,
-        levels: Vec<Vec<u32>>,
+        levels: &[Vec<u32>],
         grants: &mut dyn FnMut(usize) -> usize,
     ) -> usize {
         let expected: usize = levels.iter().map(Vec::len).sum();
@@ -197,7 +218,7 @@ mod tests {
         while !mc.is_done() {
             steps += 1;
             let m_t = grants(steps);
-            let picks = mc.next(m_t);
+            let picks = picks(&mut mc, m_t);
             assert!(
                 picks.len() == m_t || mc.is_done(),
                 "Lemma 5.5 violated at step {steps}: got {} of {m_t}, {} left",
@@ -232,7 +253,7 @@ mod tests {
         let p = 4;
         let levels = lpf_levels(&g, p);
         let widths: Vec<usize> = levels.iter().map(Vec::len).collect();
-        let steps = drive(&g, levels.clone(), &mut |s| widths[s - 1]);
+        let steps = drive(&g, &levels, &mut |s| widths[s - 1]);
         assert_eq!(steps, levels.len(), "matching grants => same length");
     }
 
@@ -248,7 +269,7 @@ mod tests {
         let m = 16; // alpha = 4
         let opt = DepthProfile::new(&g).opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
-        let tail: Vec<Vec<u32>> = levels[(opt as usize).min(levels.len())..].to_vec();
+        let tail = &levels[(opt as usize).min(levels.len())..];
         if tail.is_empty() {
             return; // nothing to replay; fine for this shape
         }
@@ -267,10 +288,10 @@ mod tests {
     fn zero_grant_steps_are_tolerated() {
         let g = star(6);
         let levels = lpf_levels(&g, 3);
-        let mut mc = McReplay::new(&g, levels);
-        assert!(mc.next(0).is_empty());
+        let mut mc = McReplay::new(&g, &levels);
+        assert_eq!(mc.next(0, |_| {}), 0);
         while !mc.is_done() {
-            mc.next(2);
+            mc.next(2, |_| {});
         }
     }
 
@@ -282,12 +303,12 @@ mod tests {
         bld.edge(0, 2).edge(0, 3); // a = 0 with children 2, 3; b = 1 leaf
         let g = bld.build().unwrap();
         let levels = vec![vec![1, 0], vec![2, 3]]; // a listed second!
-        let mut mc = McReplay::new(&g, levels);
-        assert_eq!(mc.next(1), vec![0], "max-children node first");
+        let mut mc = McReplay::new(&g, &levels);
+        assert_eq!(picks(&mut mc, 1), vec![0], "max-children node first");
         // Next step: level 0 remainder (b) then level 1 children.
-        let picks = mc.next(3);
-        assert_eq!(picks.len(), 3);
-        assert_eq!(picks[0], 1);
+        let got = picks(&mut mc, 3);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0], 1);
     }
 
     #[test]
@@ -296,13 +317,13 @@ mod tests {
         let g = flowtree_dag::builder::forest(&[star(2), star(2)]);
         let levels = lpf_levels(&g, 2);
         assert_eq!(levels.iter().map(Vec::len).collect::<Vec<_>>(), vec![2, 2, 2]);
-        let mut mc = McReplay::new(&g, levels);
+        let mut mc = McReplay::new(&g, &levels);
         // Grant 4 at once: both roots + nothing else (children unready same
         // step) -> only 2. This is the about-to-finish exemption? No — not
         // done. But Lemma 5.5's precondition says m_t <= width of S = 2.
         // With a legal grant of 2 every step, MC stays busy.
         for _ in 0..3 {
-            assert_eq!(mc.next(2).len(), 2);
+            assert_eq!(mc.next(2, |_| {}), 2);
         }
         assert!(mc.is_done());
     }
@@ -312,10 +333,10 @@ mod tests {
         // chain(4): replay only the last two nodes.
         let g = chain(4);
         let levels = vec![vec![2], vec![3]];
-        let mut mc = McReplay::new(&g, levels);
+        let mut mc = McReplay::new(&g, &levels);
         assert_eq!(mc.remaining(), 2);
-        assert_eq!(mc.next(1), vec![2]);
-        assert_eq!(mc.next(1), vec![3]);
+        assert_eq!(picks(&mut mc, 1), vec![2]);
+        assert_eq!(picks(&mut mc, 1), vec![3]);
         assert!(mc.is_done());
     }
 
@@ -337,7 +358,7 @@ mod tests {
                 if levels.len() <= opt as usize {
                     continue;
                 }
-                let tail = levels[opt as usize..].to_vec();
+                let tail = &levels[opt as usize..];
                 let mut k = 0usize;
                 drive(&g, tail, &mut |_| {
                     k += 1;
@@ -353,20 +374,20 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.edge(0, 2).edge(1, 2);
         let g = b.build().unwrap();
-        McReplay::new(&g, vec![vec![0, 1], vec![2]]);
+        McReplay::new(&g, &[vec![0, 1], vec![2]]);
     }
 
     #[test]
     #[should_panic(expected = "appears twice")]
     fn rejects_duplicate_nodes_in_levels() {
         let g = chain(2);
-        McReplay::new(&g, vec![vec![0], vec![0, 1]]);
+        McReplay::new(&g, &[vec![0], vec![0, 1]]);
     }
 
     #[test]
     #[should_panic(expected = "violate precedence")]
     fn rejects_levels_violating_precedence() {
         let g = chain(2);
-        McReplay::new(&g, vec![vec![1], vec![0]]);
+        McReplay::new(&g, &[vec![1], vec![0]]);
     }
 }

@@ -20,6 +20,23 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = JobGraph> {
     })
 }
 
+/// The subgraph of `g` induced by the nodes with `keep[v]`, relabelled
+/// densely in id order, plus the map from new ids to old ones.
+fn induced_subgraph(g: &JobGraph, keep: &[bool]) -> (JobGraph, Vec<u32>) {
+    let old: Vec<u32> = (0..g.n() as u32).filter(|&v| keep[v as usize]).collect();
+    let mut new = vec![u32::MAX; g.n()];
+    for (i, &v) in old.iter().enumerate() {
+        new[v as usize] = i as u32;
+    }
+    let mut b = GraphBuilder::new(old.len());
+    for (u, v) in g.edges() {
+        if keep[u as usize] && keep[v as usize] {
+            b.edge(new[u as usize], new[v as usize]);
+        }
+    }
+    (b.build().unwrap(), old)
+}
+
 /// Replay levels as a single-job schedule and verify feasibility.
 fn assert_levels_feasible(g: &JobGraph, levels: &[Vec<u32>], p: usize) {
     let inst = Instance::single(g.clone());
@@ -81,14 +98,13 @@ proptest! {
         if levels.len() <= opt as usize {
             return Ok(()); // no tail
         }
-        let tail: Vec<Vec<u32>> = levels[opt as usize..].to_vec();
-        let mut mc = McReplay::new(&g, tail);
+        let mut mc = McReplay::new(&g, &levels[opt as usize..]);
         let mut gi = 0usize;
         let mut steps = 0usize;
         while !mc.is_done() {
             let m_t = grants[gi % grants.len()].min(p);
             gi += 1;
-            let got = mc.next(m_t).len();
+            let got = mc.next(m_t, |_| {});
             prop_assert!(got == m_t || mc.is_done(), "idled {m_t}-{got}");
             steps += 1;
             prop_assert!(steps < 100_000);
@@ -115,7 +131,7 @@ proptest! {
             return Ok(());
         }
         let rl = lpf_levels_restricted(&g, Some(&remaining), p);
-        let (sub, old) = g.induced_subgraph(&remaining);
+        let (sub, old) = induced_subgraph(&g, &remaining);
         let sl = lpf_levels(&sub, p);
         // Same number of steps and same level sizes (ids differ by the
         // relabelling; heights are preserved because the set is

@@ -162,15 +162,29 @@ impl JobGraph {
     /// directed path from `v` to a sink, so a sink has height 1
     /// (paper, Section 5). Heights drive the Longest-Path-First priority.
     pub fn heights(&self) -> Vec<u32> {
-        let mut h = vec![1u32; self.n()];
-        // Walk the topological order backwards: children are finalized first.
+        let mut h = vec![0u32; self.n()];
+        self.heights_into(&mut h);
+        h
+    }
+
+    /// [`heights`](Self::heights) into a caller-owned slice of length `n()`,
+    /// so a scheduler can lay the heights of several jobs side by side in
+    /// one reused buffer.
+    pub fn heights_into(&self, out: &mut [u32]) {
+        assert_eq!(out.len(), self.n(), "heights buffer length mismatch");
+        out.fill(1);
+        // Walk the topological order backwards, so a node's height is final
+        // when it is pushed up to its parents. (Pushing up rather than
+        // pulling from the children keeps the inner loop's trip count at the
+        // in-degree, which is 1 on out-trees and so branch-predictable, and
+        // the `max` branch-free.)
         for &v in self.topo.iter().rev() {
-            let vi = v as usize;
-            for &c in self.children(NodeId(v)) {
-                h[vi] = h[vi].max(h[c as usize] + 1);
+            let up = out[v as usize] + 1;
+            for &p in self.parents(NodeId(v)) {
+                let hp = &mut out[p as usize];
+                *hp = (*hp).max(up);
             }
         }
-        h
     }
 
     /// Per-node **depth** `D(v)`: the number of nodes on the longest directed
@@ -212,34 +226,6 @@ impl JobGraph {
             }
         }
         e
-    }
-
-    /// The induced subgraph on the nodes with `keep[v] == true`, with dense
-    /// re-labelling. Returns the subgraph and the map from new node ids to
-    /// original ids. Panics if no node is kept.
-    ///
-    /// Used by the guess-and-double wrapper (paper Section 5.4), which
-    /// restarts Algorithm 𝒜 on the *unexecuted* portion of each job; since
-    /// executed sets are ancestor-closed, the kept set is descendant-closed
-    /// and the subgraph of an out-forest is again an out-forest.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (JobGraph, Vec<u32>) {
-        assert_eq!(keep.len(), self.n(), "keep mask length mismatch");
-        let mut new_id = vec![u32::MAX; self.n()];
-        let mut old_id = Vec::new();
-        for v in 0..self.n() {
-            if keep[v] {
-                new_id[v] = old_id.len() as u32;
-                old_id.push(v as u32);
-            }
-        }
-        assert!(!old_id.is_empty(), "induced subgraph must be non-empty");
-        let mut b = GraphBuilder::new(old_id.len());
-        for (u, v) in self.edges() {
-            if keep[u as usize] && keep[v as usize] {
-                b.edge(new_id[u as usize], new_id[v as usize]);
-            }
-        }
-        (b.build().expect("subgraph of a DAG is a DAG"), old_id)
     }
 
     /// Disjoint union of jobs: relabels each graph's nodes into one graph.
@@ -532,34 +518,6 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.depths()[3], 4);
         assert_eq!(g.heights()[0], 4);
-    }
-
-    #[test]
-    fn induced_subgraph_descendant_closed() {
-        // chain(4) keep suffix {2, 3}.
-        let mut b = GraphBuilder::new(4);
-        b.edge(0, 1).edge(1, 2).edge(2, 3);
-        let g = b.build().unwrap();
-        let (sub, old) = g.induced_subgraph(&[false, false, true, true]);
-        assert_eq!(sub.n(), 2);
-        assert_eq!(old, vec![2, 3]);
-        assert_eq!(sub.edges(), vec![(0, 1)]);
-        assert_eq!(sub.span(), 2);
-    }
-
-    #[test]
-    fn induced_subgraph_drops_cross_edges() {
-        let g = diamond();
-        // Keep 1 and 3 only: the edge 1->3 survives, others vanish.
-        let (sub, old) = g.induced_subgraph(&[false, true, false, true]);
-        assert_eq!(old, vec![1, 3]);
-        assert_eq!(sub.edges(), vec![(0, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn induced_subgraph_empty_panics() {
-        diamond().induced_subgraph(&[false; 4]);
     }
 
     #[test]

@@ -43,13 +43,13 @@ fn main() {
     );
 
     // --- 2. MC replay ------------------------------------------------------
-    let mut mc = McReplay::new(&g, tail.to_vec());
+    let mut mc = McReplay::new(&g, tail);
     let mut step = 0usize;
     let mut log = String::new();
     while !mc.is_done() {
         step += 1;
         let grant = 1 + (step * 3) % p;
-        let got = mc.next(grant).len();
+        let got = mc.next(grant, |_| {});
         log.push_str(&format!("{got}/{grant} "));
         assert!(got == grant || mc.is_done(), "Lemma 5.5 violated");
     }

@@ -23,6 +23,9 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> algo_a_tour example (release-mode Algorithm A / MC path and its asserts)"
+cargo run --release -q --example algo_a_tour >/dev/null
+
 echo "==> bench regression gate (--quick --check vs committed baseline)"
 cargo run --release -p flowtree-cli -- bench --quick --check BENCH_engine.json \
     -o /tmp/flowtree_bench_smoke.json >/dev/null
