@@ -6,7 +6,7 @@
 //! **arrivals/sec** (offered jobs over wall time, the ingest-path headline)
 //! plus **subjobs/sec** (dispatched work over wall time, the number the
 //! regression gate compares, consistent with the engine matrix). The sweep
-//! covers shard counts × routing × overload policy × stealing, plus one
+//! covers shard counts × routing × overload policy, plus one
 //! `per-event` cell that drives [`PoolHandle::offer`] one arrival at a time
 //! so the unbatched ingest path stays perf-tracked next to the batched
 //! [`run_source`](flowtree_serve::ShardPool::run_source) default.
@@ -20,7 +20,7 @@ use crate::{document, BenchOpts, SEED};
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{
     scrape_metrics, serve_metrics, ArrivalSource, OverloadPolicy, ReplaySource, Routing,
-    ServeConfig, ShardPool, StealConfig,
+    ServeConfig, ShardPool,
 };
 use flowtree_sim::{Instance, JobSpec};
 use serde::Value;
@@ -65,8 +65,6 @@ struct ServeCell {
     shards: usize,
     routing: Routing,
     policy: OverloadPolicy,
-    /// Steal mode runs with a small queue so staging actually happens.
-    steal: bool,
     /// Drive `offer()` per arrival instead of the batched source pump.
     per_event: bool,
     /// Serve the metrics endpoint for the whole timed region and take a
@@ -83,7 +81,6 @@ impl ServeCell {
             shards,
             routing: Routing::Hash,
             policy: OverloadPolicy::Block,
-            steal: false,
             per_event: false,
             telemetry: false,
         }
@@ -100,9 +97,6 @@ impl ServeCell {
             self.routing.name(),
             self.policy.name()
         );
-        if self.steal {
-            name.push_str("+steal");
-        }
         if self.per_event {
             name.push_str("+per-event");
         }
@@ -116,9 +110,9 @@ impl ServeCell {
 /// Processors per shard in every serve cell.
 const SERVE_M: usize = 8;
 
-/// The full sweep: shards × routing on the headline stream, plus overload
-/// policies, stealing, a second scheduler, the per-event ingest mode, and
-/// the mini cells CI compares.
+/// The full sweep: shards × routing on the headline stream, plus the drop
+/// policy, a second scheduler, the per-event ingest mode, and the mini
+/// cells CI compares.
 fn full_cells() -> Vec<ServeCell> {
     let mut cells = Vec::new();
     for shards in [1usize, 2, 4] {
@@ -126,10 +120,10 @@ fn full_cells() -> Vec<ServeCell> {
             cells.push(ServeCell { routing, ..ServeCell::new(&SERVE_REPLAY, shards) });
         }
     }
-    for policy in [OverloadPolicy::DropNewest, OverloadPolicy::Redirect] {
-        cells.push(ServeCell { policy, ..ServeCell::new(&SERVE_REPLAY, 2) });
-    }
-    cells.push(ServeCell { steal: true, ..ServeCell::new(&SERVE_REPLAY, 4) });
+    cells.push(ServeCell {
+        policy: OverloadPolicy::DropNewest,
+        ..ServeCell::new(&SERVE_REPLAY, 2)
+    });
     cells.push(ServeCell { scheduler: "lpf", ..ServeCell::new(&SERVE_REPLAY, 4) });
     cells.push(ServeCell { per_event: true, ..ServeCell::new(&SERVE_REPLAY, 4) });
     cells.push(ServeCell { telemetry: true, ..ServeCell::new(&SERVE_REPLAY, 4) });
@@ -168,17 +162,15 @@ fn replay_instance(w: &ServeWorkload) -> Instance {
 
 fn cell_config(cell: &ServeCell) -> Result<ServeConfig, String> {
     let spec = SchedulerSpec::from_name_with_half(cell.scheduler, 8)?;
-    let mut builder = ServeConfig::builder(spec, SERVE_M)
+    ServeConfig::builder(spec, SERVE_M)
         .shards(cell.shards)
         .scenario("bench")
-        .queue_cap(if cell.steal { 8 } else { 1024 })
+        .queue_cap(1024)
         .policy(cell.policy)
         .routing(cell.routing)
-        .max_horizon(1_000_000_000);
-    if cell.steal {
-        builder = builder.steal(StealConfig::default());
-    }
-    builder.build().map_err(|e| e.to_string())
+        .max_horizon(1_000_000_000)
+        .build()
+        .map_err(|e| e.to_string())
 }
 
 /// One end-to-end run: launch, ingest the whole replay, drain. Returns
@@ -284,7 +276,6 @@ pub fn run_serve_matrix(o: &BenchOpts) -> Result<Value, String> {
             ("shards".into(), Value::UInt(cell.shards as u64)),
             ("routing".into(), Value::Str(cell.routing.name().into())),
             ("policy".into(), Value::Str(cell.policy.name().into())),
-            ("steal".into(), Value::Bool(cell.steal)),
             ("per_event".into(), Value::Bool(cell.per_event)),
             ("telemetry".into(), Value::Bool(cell.telemetry)),
             ("arrivals".into(), Value::UInt(arrivals)),

@@ -7,10 +7,10 @@
 //! flowtree-repro metrics 127.0.0.1:9187 --check    # exit 1 on ledger drift
 //! ```
 //!
-//! `--check` asserts the ingest ledger balances against the live gauges
-//! (`delivered + dropped + staged == offered`, `stolen_in == stolen_out`)
-//! and that the latency summaries are populated — the same invariants the
-//! serve smoke in `scripts/ci.sh` pins mid-run.
+//! `--check` asserts the ingest ledger balances
+//! (`delivered + dropped == offered`) and that the latency summaries are
+//! populated — the same invariants the serve smoke in `scripts/ci.sh` pins
+//! mid-run.
 
 use flowtree_analysis::Table;
 use flowtree_serve::scrape_metrics;
@@ -169,27 +169,10 @@ pub fn render(samples: &[Sample]) -> String {
         };
         shards.entry(shard).or_default().insert(short.to_string(), s.value);
     }
-    let cols = [
-        "now",
-        "admitted",
-        "dispatched",
-        "queue_len",
-        "staged",
-        "violations",
-        "flow_ratio",
-    ];
+    let cols = ["now", "admitted", "dispatched", "queue_len", "violations", "flow_ratio"];
     let mut gauges = Table::new(
         "per-shard gauges".to_string(),
-        &[
-            "shard",
-            "now",
-            "admitted",
-            "dispatched",
-            "queue",
-            "staged",
-            "violations",
-            "ratio ≤",
-        ],
+        &["shard", "now", "admitted", "dispatched", "queue", "violations", "ratio ≤"],
     );
     for (shard, vals) in &shards {
         let mut row = vec![shard.to_string()];
@@ -252,17 +235,10 @@ pub fn check_consistency(samples: &[Sample]) -> Result<(), String> {
     let offered = total(samples, "flowtree_ingest_offered_total");
     let delivered = total(samples, "flowtree_ingest_delivered_total");
     let dropped = total(samples, "flowtree_ingest_dropped_total");
-    let staged = total(samples, "flowtree_shard_staged");
-    if delivered + dropped + staged != offered {
+    if delivered + dropped != offered {
         return Err(format!(
-            "ledger drift: delivered({delivered}) + dropped({dropped}) + staged({staged}) \
-             != offered({offered})"
+            "ledger drift: delivered({delivered}) + dropped({dropped}) != offered({offered})"
         ));
-    }
-    let stolen_in = total(samples, "flowtree_ingest_stolen_in_total");
-    let stolen_out = total(samples, "flowtree_ingest_stolen_out_total");
-    if stolen_in != stolen_out {
-        return Err(format!("steal drift: stolen_in({stolen_in}) != stolen_out({stolen_out})"));
     }
     let completions = samples
         .iter()
@@ -294,9 +270,6 @@ mod tests {
          flowtree_ingest_offered_total 10\n\
          flowtree_ingest_delivered_total 8\n\
          flowtree_ingest_dropped_total 2\n\
-         flowtree_ingest_stolen_in_total 3\n\
-         flowtree_ingest_stolen_out_total 3\n\
-         flowtree_shard_staged{shard=\"0\"} 0\n\
          flowtree_shard_now{shard=\"0\"} 42\n\
          flowtree_shard_flow_ratio{shard=\"0\"} 1.25\n\
          flowtree_latency_us{stage=\"arrival_to_complete\",shard=\"0\",quantile=\"0.99\"} 120\n\
@@ -333,10 +306,6 @@ mod tests {
             .replace("flowtree_ingest_delivered_total 8", "flowtree_ingest_delivered_total 7");
         let err = check_consistency(&parse_exposition(&body)).unwrap_err();
         assert!(err.contains("ledger drift"), "{err}");
-        let body = sample_body()
-            .replace("flowtree_ingest_stolen_out_total 3", "flowtree_ingest_stolen_out_total 2");
-        let err = check_consistency(&parse_exposition(&body)).unwrap_err();
-        assert!(err.contains("steal drift"), "{err}");
         let body = sample_body().replace(
             "flowtree_latency_us_count{stage=\"arrival_to_complete\",shard=\"0\"} 8",
             "flowtree_latency_us_count{stage=\"arrival_to_complete\",shard=\"0\"} 0",

@@ -5,16 +5,14 @@
 //! `--shards` engine shards under a bounded-queue overload policy, and each
 //! drained shard reports a certified `RunSummary`. The control plane is
 //! exposed too: `--swap-at T:SPEC` hot-swaps every shard's scheduler at
-//! event time `T`, and `--steal` turns on work stealing between shards
-//! (full-queue arrivals stage router-side and migrate to idle shards).
-//! With `--store DIR` the summaries append to the persistent results store
+//! event time `T`. With `--store DIR` the summaries append to the persistent results store
 //! (conventionally `results/store/`) for `report --trend` to consume.
 //!
 //! ```text
 //! flowtree-repro serve service --shards 2 --rate 0.5 --scheduler fifo -m 4
-//! flowtree-repro serve analytics --shards 4 --policy redirect --store results/store
+//! flowtree-repro serve analytics --shards 4 --policy drop --store results/store
 //! flowtree-repro serve replayed --replay trace.jsonl --scheduler lpf
-//! flowtree-repro serve service --shards 2 --swap-at 40:lpf --steal --queue-cap 4
+//! flowtree-repro serve service --shards 2 --swap-at 40:lpf --queue-cap 4
 //! ```
 
 use crate::scenario::{parse_num, ScenarioOpts};
@@ -25,7 +23,7 @@ use flowtree_dag::Time;
 use flowtree_serve::{
     git_describe, run_id, serve_metrics, write_flight_jsonl, ArrivalSource, GeneratorSource,
     IngestStats, OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing, ServeConfig,
-    ShardMetrics, ShardPool, ShardResult, StealConfig, StoreRecord,
+    ShardMetrics, ShardPool, ShardResult, StoreRecord,
 };
 use flowtree_workloads::mix::Scenario;
 
@@ -43,8 +41,6 @@ pub(crate) struct ServeOpts {
     pub(crate) run: Option<String>,
     pub(crate) horizon: u64,
     pub(crate) swap_at: Vec<String>,
-    pub(crate) steal: bool,
-    pub(crate) steal_watermarks: Option<String>,
     pub(crate) ingest_batch: usize,
     pub(crate) watermark_stride: Time,
     pub(crate) metrics_addr: Option<String>,
@@ -65,8 +61,6 @@ impl Default for ServeOpts {
             run: None,
             horizon: 100_000_000,
             swap_at: Vec::new(),
-            steal: false,
-            steal_watermarks: None,
             ingest_batch: 32,
             watermark_stride: 0,
             metrics_addr: None,
@@ -78,11 +72,11 @@ impl Default for ServeOpts {
 /// Usage text for the flag set [`serve_flag`] understands (shared by the
 /// `serve` and `gateway` verbs).
 pub(crate) const SERVE_FLAG_USAGE: &str =
-    " [--shards N] [--rate R] [--queue-cap N] [--policy block|drop|redirect]\n\
+    " [--shards N] [--rate R] [--queue-cap N] [--policy block|drop]\n\
      \u{20}        [--routing hash|least-loaded] [--replay FILE] [--stats-every N]\n\
      \u{20}        [--store DIR] [--run-id ID] [--horizon H] [--swap-at T:SPEC]\n\
-     \u{20}        [--steal] [--steal-watermarks LOW:HIGH] [--ingest-batch N]\n\
-     \u{20}        [--watermark-stride T] [--metrics-addr HOST:PORT] [--flight FILE]";
+     \u{20}        [--ingest-batch N] [--watermark-stride T]\n\
+     \u{20}        [--metrics-addr HOST:PORT] [--flight FILE]";
 
 /// Parse one serve-family flag into `s`; returns whether it was consumed.
 pub(crate) fn serve_flag(
@@ -102,12 +96,6 @@ pub(crate) fn serve_flag(
         "--store" => s.store = Some(it.next().ok_or("--store needs a directory")?.clone()),
         "--run-id" => s.run = Some(it.next().ok_or("--run-id needs an id")?.clone()),
         "--swap-at" => s.swap_at.push(it.next().ok_or("--swap-at needs T:SPEC")?.clone()),
-        "--steal" => s.steal = true,
-        "--steal-watermarks" => {
-            s.steal = true;
-            s.steal_watermarks =
-                Some(it.next().ok_or("--steal-watermarks needs LOW:HIGH")?.clone());
-        }
         "--ingest-batch" => s.ingest_batch = parse_num(it, "--ingest-batch")?,
         "--watermark-stride" => s.watermark_stride = parse_num(it, "--watermark-stride")?,
         "--metrics-addr" => {
@@ -180,35 +168,16 @@ fn parse_swap(arg: &str, half: Time) -> Result<(Time, SchedulerSpec), String> {
     Ok((at, spec))
 }
 
-/// Parse `--steal-watermarks LOW:HIGH`.
-fn parse_watermarks(arg: &str) -> Result<StealConfig, String> {
-    let (lo, hi) = arg
-        .split_once(':')
-        .ok_or_else(|| format!("--steal-watermarks wants LOW:HIGH (e.g. 2:8), got '{arg}'"))?;
-    let low_watermark = lo
-        .parse()
-        .map_err(|_| format!("steal low watermark '{lo}' is not an integer"))?;
-    let high_watermark = hi
-        .parse()
-        .map_err(|_| format!("steal high watermark '{hi}' is not an integer"))?;
-    Ok(StealConfig { low_watermark, high_watermark })
-}
-
 /// The post-drain ingest ledger; ends in `(balanced)` exactly when every
-/// offered arrival is accounted for and stolen jobs net to zero.
+/// offered arrival is accounted for.
 pub(crate) fn accounting_line(ingest: &IngestStats) -> String {
-    let balanced = ingest.delivered + ingest.dropped == ingest.offered
-        && ingest.stolen_in == ingest.stolen_out;
+    let balanced = ingest.delivered + ingest.dropped == ingest.offered;
     format!(
-        "ingest: offered={} delivered={} dropped={} redirected={} reordered={} \
-         stolen_in={} stolen_out={} wm_skipped={} {}",
+        "ingest: offered={} delivered={} dropped={} reordered={} wm_skipped={} {}",
         ingest.offered,
         ingest.delivered,
         ingest.dropped,
-        ingest.redirected,
         ingest.reordered,
-        ingest.stolen_in,
-        ingest.stolen_out,
         ingest.wm_skipped,
         if balanced {
             "(balanced)"
@@ -255,14 +224,8 @@ fn serve(
     }
     let ingest = pool.ingest();
     heartbeat(&format!(
-        "stream ended: offered={} delivered={} dropped={} redirected={} staged={} — \
-         draining {} shard(s)",
-        ingest.offered,
-        ingest.delivered,
-        ingest.dropped,
-        ingest.redirected,
-        pool.snapshot().in_flight(),
-        s.shards
+        "stream ended: offered={} delivered={} dropped={} — draining {} shard(s)",
+        ingest.offered, ingest.delivered, ingest.dropped, s.shards
     ));
     let drained = pool.drain();
     if let Some(srv) = server {
@@ -299,7 +262,7 @@ pub(crate) fn build_config(
     let spec = SchedulerSpec::from_name_with_half(&o.scheduler, o.half)?;
     let swaps: Vec<(Time, SchedulerSpec)> =
         s.swap_at.iter().map(|a| parse_swap(a, o.half)).collect::<Result<_, _>>()?;
-    let mut builder = ServeConfig::builder(spec, o.m)
+    let cfg = ServeConfig::builder(spec, o.m)
         .shards(s.shards)
         .scenario(o.scenario.clone())
         .queue_cap(s.queue_cap)
@@ -307,15 +270,9 @@ pub(crate) fn build_config(
         .routing(s.routing.parse::<Routing>()?)
         .max_horizon(s.horizon)
         .ingest_batch(s.ingest_batch)
-        .watermark_stride(s.watermark_stride);
-    if s.steal {
-        let marks = match &s.steal_watermarks {
-            Some(arg) => parse_watermarks(arg)?,
-            None => StealConfig::default(),
-        };
-        builder = builder.steal(marks);
-    }
-    Ok((builder.build()?, swaps))
+        .watermark_stride(s.watermark_stride)
+        .build()?;
+    Ok((cfg, swaps))
 }
 
 /// The arrival stream: a replayed trace when `replay` is set, otherwise
@@ -367,13 +324,8 @@ pub(crate) fn summary_table(
 ) -> String {
     let mut table = Table::new(
         format!(
-            "serve '{}' — {} on {} shard(s) × m = {}, policy {}{}",
-            o.scenario,
-            o.scheduler,
-            s.shards,
-            o.m,
-            s.policy,
-            if s.steal { ", stealing" } else { "" }
+            "serve '{}' — {} on {} shard(s) × m = {}, policy {}",
+            o.scenario, o.scheduler, s.shards, o.m, s.policy
         ),
         &[
             "shard",
@@ -525,23 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_serve_balances_the_ledger() {
-        let s = ServeOpts {
-            shards: 2,
-            rate: 1.0,
-            queue_cap: 2,
-            steal: true,
-            steal_watermarks: Some("0:2".to_string()),
-            ..ServeOpts::default()
-        };
-        let o = ScenarioOpts { jobs: 40, ..opts("service") };
-        let (results, ingest, _) = serve(&o, &s, &mut |_| {}).unwrap();
-        assert_eq!(results.iter().map(|r| r.summary.jobs).sum::<usize>() as u64, ingest.offered);
-        assert_eq!(ingest.stolen_in, ingest.stolen_out);
-        assert!(accounting_line(&ingest).ends_with("(balanced)"), "{ingest:?}");
-    }
-
-    #[test]
     fn metrics_endpoint_serves_and_flight_dump_roundtrips() {
         let dir = std::env::temp_dir().join(format!("flowtree-flight-cli-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -608,17 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_watermark_args_parse_strictly() {
+    fn swap_args_parse_strictly() {
         assert!(parse_swap("100:lpf", 8).is_ok());
         assert!(parse_swap("lpf", 8).is_err());
         assert!(parse_swap("x:lpf", 8).is_err());
         assert!(parse_swap("5:not-a-scheduler", 8).is_err());
-        assert_eq!(
-            parse_watermarks("2:8"),
-            Ok(StealConfig { low_watermark: 2, high_watermark: 8 })
-        );
-        assert!(parse_watermarks("8").is_err());
-        assert!(parse_watermarks("a:b").is_err());
     }
 
     #[test]
@@ -630,12 +559,5 @@ mod tests {
         let zero = ServeOpts { shards: 0, ..ServeOpts::default() };
         let err = serve(&opts("service"), &zero, &mut |_| {}).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
-        let marks = ServeOpts {
-            steal: true,
-            steal_watermarks: Some("8:2".to_string()),
-            ..ServeOpts::default()
-        };
-        let err = serve(&opts("service"), &marks, &mut |_| {}).unwrap_err();
-        assert!(err.contains("watermark"), "{err}");
     }
 }

@@ -119,8 +119,6 @@ pub struct RemoteSnapshot {
     pub delivered: u64,
     /// Ledger: arrivals shed.
     pub dropped: u64,
-    /// Ledger: arrivals staged router-side.
-    pub staged: u64,
     /// Whether the ledger balanced at snapshot time.
     pub balanced: bool,
 }
@@ -390,8 +388,8 @@ impl GatewayClient {
     /// A point-in-time pool snapshot over the wire.
     pub fn snapshot(&mut self) -> Result<RemoteSnapshot, ClientError> {
         match self.call(&Request::Snapshot)? {
-            Reply::State { line, offered, delivered, dropped, staged, balanced } => {
-                Ok(RemoteSnapshot { line, offered, delivered, dropped, staged, balanced })
+            Reply::State { line, offered, delivered, dropped, balanced } => {
+                Ok(RemoteSnapshot { line, offered, delivered, dropped, balanced })
             }
             Reply::Reject { reason } => Err(ClientError::Rejected(reason)),
             other => Err(ClientError::Protocol(format!("expected state, got {other:?}"))),

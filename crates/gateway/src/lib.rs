@@ -16,7 +16,7 @@
 //!   byte-for-byte identical to the in-process `serve` path on the same
 //!   pool configuration (placement is a pure function of arrival order).
 //! * **Exact books** — with any number of interleaved clients, no job is
-//!   lost and the pool ledger `delivered + dropped + staged == offered`
+//!   lost and the pool ledger `delivered + dropped == offered`
 //!   balances across all clients combined; a [`Reply::Busy`] batch was
 //!   never offered, so it perturbs no counter.
 //! * **No panic from bytes** — malformed frames (truncated, oversized,

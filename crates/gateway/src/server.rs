@@ -17,15 +17,15 @@
 //! group closes when the connection's negotiated window fills, a
 //! non-submit frame arrives, or the readable bytes run dry. Workers never
 //! block inside the pool on a client's behalf: when the pool's policy is
-//! `block` (and stealing is off), a group that would block is answered
-//! with [`Reply::Busy`] *before* being offered, so backpressure becomes a
-//! wire-level retry loop instead of a stalled worker, and the ledger
-//! invariant `delivered + dropped + staged == offered` stays exact across
-//! all clients combined.
+//! `block`, a group that would block is answered with [`Reply::Busy`]
+//! *before* being offered, so backpressure becomes a wire-level retry loop
+//! instead of a stalled worker, and the ledger invariant
+//! `delivered + dropped == offered` stays exact across all clients
+//! combined.
 //!
 //! Connection lifecycle (`conn-open` / `conn-close`) and every `Busy`
 //! shed land in shard 0's flight-recorder ring — the router's shard — so
-//! `report --flight` shows the network edge next to steals and swaps.
+//! `report --flight` shows the network edge next to swaps and drops.
 
 use crate::wire::{
     decode_request, decode_submit_into, encode_reply_into, frame_len, push_frame, Reply, Request,
@@ -611,7 +611,6 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
                     offered: snap.ingest.offered,
                     delivered: snap.ingest.delivered,
                     dropped: snap.ingest.dropped,
-                    staged: snap.in_flight(),
                     balanced: snap.accounting_balanced(),
                 },
             );
@@ -682,10 +681,10 @@ fn flush_group(conn: &mut Conn, ctx: &mut WorkerCtx<'_>) {
         return;
     }
     let pool = ctx.handle.config();
-    // Only the blocking policy (without stealing's staged escape hatch)
-    // can stall the router; map that stall onto the wire as Busy *before*
-    // offering, so a refused frame touches no ledger counter.
-    let gated = pool.policy == OverloadPolicy::Block && pool.steal.is_none();
+    // Only the blocking policy can stall the router; map that stall onto
+    // the wire as Busy *before* offering, so a refused frame touches no
+    // ledger counter.
+    let gated = pool.policy == OverloadPolicy::Block;
     let (admit_frames, admit_jobs) = if gated {
         let room = ctx.handle.ingress_room();
         let mut jobs = 0usize;

@@ -30,7 +30,7 @@ use std::io::{self, IoSlice, Read, Write};
 
 /// Wire protocol version carried in [`Request::Hello`]; the gateway refuses
 /// clients that speak a different one.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Default ceiling on one frame's payload (4 MiB). A length prefix above
 /// the limit is a protocol error, not an allocation request — the reader
@@ -299,7 +299,7 @@ pub enum Reply {
         shards: usize,
         /// Scheduler the pool launched with.
         scheduler: String,
-        /// Overload policy name (`block` / `drop-newest` / `redirect`).
+        /// Overload policy name (`block` / `drop`).
         policy: String,
         /// Granted hot-message codec. Absent on old gateways ⇒ JSON.
         codec: WireCodec,
@@ -341,9 +341,7 @@ pub enum Reply {
         delivered: u64,
         /// Ledger: arrivals shed.
         dropped: u64,
-        /// Ledger: arrivals staged router-side.
-        staged: u64,
-        /// Whether `delivered + dropped + staged == offered` held.
+        /// Whether `delivered + dropped == offered` held.
         balanced: bool,
     },
     /// Answer to [`Request::Metrics`].
@@ -457,14 +455,13 @@ impl serde::Serialize for Reply {
                 vec![("retry_after_ms", retry_after_ms.to_value()), ("frames", frames.to_value())],
             ),
             Reply::Reject { reason } => tagged("reject", vec![("reason", reason.to_value())]),
-            Reply::State { line, offered, delivered, dropped, staged, balanced } => tagged(
+            Reply::State { line, offered, delivered, dropped, balanced } => tagged(
                 "state",
                 vec![
                     ("line", line.to_value()),
                     ("offered", offered.to_value()),
                     ("delivered", delivered.to_value()),
                     ("dropped", dropped.to_value()),
-                    ("staged", staged.to_value()),
                     ("balanced", balanced.to_value()),
                 ],
             ),
@@ -500,7 +497,6 @@ impl serde::Deserialize for Reply {
                 offered: field(v, "offered")?,
                 delivered: field(v, "delivered")?,
                 dropped: field(v, "dropped")?,
-                staged: field(v, "staged")?,
                 balanced: field(v, "balanced")?,
             },
             "metrics" => Reply::MetricsText { text: field(v, "text")? },
@@ -572,14 +568,8 @@ fn push_delta_json(out: &mut Vec<u8>, d: &IngestStats) {
     push_u64(out, d.delivered);
     out.extend_from_slice(b",\"dropped\":");
     push_u64(out, d.dropped);
-    out.extend_from_slice(b",\"redirected\":");
-    push_u64(out, d.redirected);
     out.extend_from_slice(b",\"reordered\":");
     push_u64(out, d.reordered);
-    out.extend_from_slice(b",\"stolen_in\":");
-    push_u64(out, d.stolen_in);
-    out.extend_from_slice(b",\"stolen_out\":");
-    push_u64(out, d.stolen_out);
     out.extend_from_slice(b",\"wm_skipped\":");
     push_u64(out, d.wm_skipped);
     out.push(b'}');
@@ -747,16 +737,9 @@ pub fn encode_reply_into(reply: &Reply, codec: WireCodec, out: &mut Vec<u8>) {
             out.push(OP_ACK);
             push_u64_le(out, *seq);
             push_u64_le(out, *frames);
-            for v in [
-                delta.offered,
-                delta.delivered,
-                delta.dropped,
-                delta.redirected,
-                delta.reordered,
-                delta.stolen_in,
-                delta.stolen_out,
-                delta.wm_skipped,
-            ] {
+            for v in
+                [delta.offered, delta.delivered, delta.dropped, delta.reordered, delta.wm_skipped]
+            {
                 push_u64_le(out, v);
             }
         }
@@ -857,10 +840,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, String> {
                     offered: r.u64()?,
                     delivered: r.u64()?,
                     dropped: r.u64()?,
-                    redirected: r.u64()?,
                     reordered: r.u64()?,
-                    stolen_in: r.u64()?,
-                    stolen_out: r.u64()?,
                     wm_skipped: r.u64()?,
                 };
                 Reply::Ack { seq, delta, frames }
@@ -969,8 +949,7 @@ mod tests {
                 line: "t>=0".into(),
                 offered: 5,
                 delivered: 4,
-                dropped: 0,
-                staged: 1,
+                dropped: 1,
                 balanced: true,
             },
             Reply::MetricsText { text: "# HELP x\n".into() },
@@ -983,12 +962,11 @@ mod tests {
 
     #[test]
     fn codec_and_window_default_when_absent_for_old_peers() {
-        let req: Request = decode(b"{\"type\":\"hello\",\"proto\":1,\"client\":\"old\"}").unwrap();
+        let req: Request = decode(b"{\"type\":\"hello\",\"proto\":2,\"client\":\"old\"}").unwrap();
         assert_eq!(req, Request::hello("old"));
         let reply: Reply = decode(
             b"{\"type\":\"ack\",\"seq\":7,\"delta\":{\"offered\":1,\"delivered\":1,\
-              \"dropped\":0,\"redirected\":0,\"reordered\":0,\"stolen_in\":0,\
-              \"stolen_out\":0,\"wm_skipped\":0}}",
+              \"dropped\":0,\"reordered\":0,\"wm_skipped\":0}}",
         )
         .unwrap();
         assert!(matches!(reply, Reply::Ack { frames: 1, .. }));
@@ -1028,10 +1006,7 @@ mod tests {
                     offered: 32,
                     delivered: 30,
                     dropped: 1,
-                    redirected: 2,
                     reordered: 3,
-                    stolen_in: 4,
-                    stolen_out: 4,
                     wm_skipped: 5,
                 },
                 frames: 9,

@@ -201,11 +201,7 @@ fn interleaved_clients_lose_no_job_and_balance_the_ledger() {
     let mut probe = GatewayClient::with_name(&addr, "probe").expect("connect probe");
     let snap = probe.snapshot().expect("snapshot");
     assert_eq!(snap.offered, submitted, "every accepted batch is on the ledger");
-    assert!(
-        snap.balanced,
-        "delivered + dropped + staged == offered must hold: {}",
-        snap.line
-    );
+    assert!(snap.balanced, "delivered + dropped == offered must hold: {}", snap.line);
 
     let open = gw.stats().connections_open.load(std::sync::atomic::Ordering::SeqCst);
     assert!(open >= 1, "probe connection should still be open, saw {open}");
@@ -328,12 +324,13 @@ fn hello_is_mandatory_and_version_checked() {
         .expect("gateway up");
     let addr = gw.addr().to_string();
 
-    // A client lying about its protocol version is refused at hello.
-    {
+    // A client lying about its protocol version, or speaking the previous
+    // one (whose ack delta had a different layout), is refused at hello.
+    for proto in [99, 1] {
         use flowtree_gateway::{decode, encode, read_frame_into, write_frame, Reply, Request};
         let stream = std::net::TcpStream::connect(&addr).expect("dial");
         let bad = Request::Hello {
-            proto: 99,
+            proto,
             client: "liar".into(),
             codec: flowtree_gateway::WireCodec::Json,
             window: 1,
@@ -342,7 +339,9 @@ fn hello_is_mandatory_and_version_checked() {
         let mut payload = Vec::new();
         assert!(read_frame_into(&mut &stream, 1 << 20, &mut payload).expect("reply"), "frame");
         match decode::<Reply>(&payload).expect("parse") {
-            Reply::Reject { reason } => assert!(reason.contains("protocol 99"), "{reason}"),
+            Reply::Reject { reason } => {
+                assert!(reason.contains(&format!("protocol {proto} ")), "{reason}")
+            }
             other => panic!("expected reject, got {other:?}"),
         }
     }

@@ -18,8 +18,8 @@
 //!   (`LowerBound` + `InvariantMonitor` + `RunHistograms`) attached as a
 //!   probe tuple.
 //! * [`pool`] — the [`ShardPool`] router: bounded queues, consistent-hash or
-//!   least-loaded placement, and an explicit overload policy (block / drop /
-//!   redirect). Correctness across shards rests on an **event-time
+//!   least-loaded placement, and an explicit overload policy (block /
+//!   drop). Correctness across shards rests on an **event-time
 //!   watermark**: a shard simulates step `t` only once it knows no arrival
 //!   with release `<= t` can still reach it, so a one-shard pool reproduces
 //!   the batch engine's `RunReport` bit for bit (pinned by the differential
@@ -27,19 +27,16 @@
 //!   ([`ShardCmd`](shard::ShardCmd)): runtime operations — offer, live
 //!   scheduler hot-swap ([`PoolHandle::swap`]), synchronous quiesce,
 //!   snapshots, drain requests — go through a cloneable [`PoolHandle`], and
-//!   optional work stealing ([`StealConfig`]) migrates not-yet-admitted jobs
-//!   from an overloaded shard's staged ingress to an idle one with exact
-//!   accounting ([`IngestStats`]).
+//!   every offered arrival is accounted for in [`IngestStats`].
 //! * [`telemetry`] — always-on observability for the pool: a lock-light
 //!   metrics registry (per-shard atomic latency histograms for
 //!   arrival→admit, admit→first-dispatch, and arrival→completion, plus
 //!   live `max_flow`/lower-bound gauges), a Prometheus-style text
 //!   exposition endpoint ([`serve_metrics`]) served over std TCP, and a
-//!   bounded per-shard **flight recorder** of control-plane events
-//!   (swap, steal, donate, watermark skip/retry, drop, redirect,
-//!   quiesce, drain, panic) dumped as JSONL next to the results store.
-//!   The shard probe stack is a 4-tuple: `LowerBound` +
-//!   `InvariantMonitor` + `RunHistograms` + [`LatencyProbe`].
+//!   bounded per-shard **flight recorder** of control-plane events (swap,
+//!   watermark skip/retry, drop, quiesce, drain, panic) dumped as JSONL
+//!   next to the results store. The shard probe stack is a 4-tuple:
+//!   `LowerBound` + `InvariantMonitor` + `RunHistograms` + [`LatencyProbe`].
 //! * [`store`] — append-only JSONL store of [`StoreRecord`]s (run id, git
 //!   describe, shard, summary) under a directory like `results/store/`.
 //! * [`trend`] — cross-run trend tables over store records (ratio,
@@ -57,7 +54,7 @@ pub mod trend;
 
 pub use pool::{
     IngestStats, OverloadPolicy, PoolHandle, PoolSnapshot, Routing, ServeConfig,
-    ServeConfigBuilder, ServeError, ShardPool, StealConfig,
+    ServeConfigBuilder, ServeError, ShardPool,
 };
 pub use shard::{Arrival, ShardResult, ShardSnapshot, SwapEvent};
 pub use source::{channel_source, ArrivalSource, ChannelSource, GeneratorSource, ReplaySource};

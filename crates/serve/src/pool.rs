@@ -1,17 +1,16 @@
 //! The shard pool: bounded-queue routing of an arrival stream across N
-//! engine shards, with a control plane for live scheduler hot-swap and
-//! work stealing, explicit overload behavior, and graceful drain.
+//! engine shards, with a control plane for live scheduler hot-swap,
+//! explicit overload behavior, and graceful drain.
 //!
 //! Each shard is a worker thread (see [`crate::shard`]) behind a bounded
-//! channel of [`ShardCmd`]s. The router serializes arrivals: it clamps the
-//! rare out-of-order release from a misbehaving source (counting it in
-//! [`IngestStats::reordered`]), picks a shard ([`Routing`]) per job, and
-//! delivers under the configured [`OverloadPolicy`]. The hot path is
-//! batched: [`PoolHandle::offer_batch`] takes the router lock **once** per
-//! ingest batch, routes every job, coalesces same-shard placements into
-//! one [`ShardCmd::AdmitBatch`] (one queue slot, one channel op), and
-//! flushes event time at the batch boundary. Sources feed batches through
-//! [`PoolHandle::run_source`] via
+//! channel of [`ShardCmd`]s. Every offer takes one path: under the router
+//! lock, each arrival has its rare out-of-order release clamped forward
+//! (counted in [`IngestStats::reordered`]) and is placed on a shard
+//! ([`Routing`]); same-shard placements then coalesce into one
+//! [`ShardCmd::Admit`] (one queue slot, one channel op), delivered under
+//! the configured [`OverloadPolicy`], and event time is flushed at the
+//! batch boundary. [`PoolHandle::offer`] is a batch of one. Sources feed
+//! batches through [`PoolHandle::run_source`] via
 //! [`ArrivalSource::next_batch`], bounded by
 //! [`ServeConfig::ingest_batch`] jobs and a release-span flush rule tied to
 //! [`ServeConfig::watermark_stride`], so batching never changes event-time
@@ -31,21 +30,11 @@
 //! skipping cannot deadlock or stall a shard forever — and the dedup
 //! ledger retries the skipped value on the next broadcast anyway.
 //!
-//! With stealing enabled ([`StealConfig`]), an arrival whose target queue
-//! is full is *staged* router-side instead of blocking the ingest thread.
-//! When one shard's ingress backlog (queue + staged) sinks to the low
-//! watermark while another's exceeds the high watermark, the router
-//! migrates staged — never admitted — jobs to the underloaded shard in one
-//! [`ShardCmd::Donate`] batch. A shard whose staged queue is nonempty has
-//! its broadcast watermark capped at the staged front's release, so it can
-//! never simulate past a job it has yet to receive.
-//!
 //! Runtime control (offer / swap / snapshot / quiesce / drain request) is
 //! a [`PoolHandle`]: a cheap clone that external front doors can drive
 //! without owning the pool. [`ShardPool`] owns the worker threads and is
 //! the only way to [`drain`](ShardPool::drain) and join them.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -102,15 +91,13 @@ impl From<ServeError> for String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Apply backpressure: block the ingest thread until there is room
-    /// (never loses work; the default). With stealing enabled the arrival
-    /// is staged router-side instead, so ingest never blocks.
+    /// (never loses work; the default).
     Block,
-    /// Shed load: drop the arriving job (counted in
-    /// [`IngestStats::dropped`]); its release still advances watermarks.
+    /// Shed load: drop the arriving jobs bound for a full shard — the whole
+    /// per-shard command, the same unit [`Block`](Self::Block) waits on
+    /// (counted in [`IngestStats::dropped`]); their releases still advance
+    /// watermarks.
     DropNewest,
-    /// Try every other shard in ascending queue-length order, falling back
-    /// to a blocking send on the original target (never loses work).
-    Redirect,
 }
 
 impl OverloadPolicy {
@@ -119,7 +106,6 @@ impl OverloadPolicy {
         match self {
             OverloadPolicy::Block => "block",
             OverloadPolicy::DropNewest => "drop",
-            OverloadPolicy::Redirect => "redirect",
         }
     }
 }
@@ -131,10 +117,7 @@ impl std::str::FromStr for OverloadPolicy {
         match s {
             "block" => Ok(OverloadPolicy::Block),
             "drop" => Ok(OverloadPolicy::DropNewest),
-            "redirect" => Ok(OverloadPolicy::Redirect),
-            other => {
-                Err(format!("unknown overload policy '{other}'; known: block, drop, redirect"))
-            }
+            other => Err(format!("unknown overload policy '{other}'; known: block, drop")),
         }
     }
 }
@@ -152,12 +135,11 @@ pub enum Routing {
     /// uniform, like consistent hashing over a fixed ring.
     Hash,
     /// The shard with the fewest jobs assigned by the router so far (ties
-    /// go to the lowest index). The ledger counts actual placements —
-    /// redirects land where they land, stolen jobs move victim → thief —
-    /// so placement is a pure function of the arrival sequence, never of
-    /// shard timing; that determinism is what lets the differential suite
-    /// compare batched and per-event ingest bit for bit under this routing
-    /// too.
+    /// go to the lowest index). The ledger counts delivered placements, so
+    /// under [`OverloadPolicy::Block`] placement is a pure function of the
+    /// arrival sequence, never of shard timing; that determinism is what
+    /// lets the differential suite compare batched and per-event ingest bit
+    /// for bit under this routing too.
     LeastLoaded,
 }
 
@@ -189,23 +171,6 @@ impl std::fmt::Display for Routing {
     }
 }
 
-/// Work-stealing thresholds over each shard's ingress backlog
-/// (channel queue + router-side staged jobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealConfig {
-    /// A shard whose backlog is at or below this may steal.
-    pub low_watermark: usize,
-    /// A shard whose backlog is at or above this (and has staged jobs to
-    /// give) may be stolen from.
-    pub high_watermark: usize,
-}
-
-impl Default for StealConfig {
-    fn default() -> Self {
-        StealConfig { low_watermark: 2, high_watermark: 8 }
-    }
-}
-
 /// Configuration of a [`ShardPool`]. Build one with
 /// [`ServeConfig::builder`] (validated) or [`ServeConfig::new`] (the
 /// always-valid single-shard default).
@@ -228,9 +193,6 @@ pub struct ServeConfig {
     /// Safety horizon per shard (a stalling scheduler errors out instead of
     /// spinning forever).
     pub max_horizon: Time,
-    /// Work-stealing thresholds; `None` disables stealing and keeps the
-    /// delivery path identical to the pre-control-plane pool.
-    pub steal: Option<StealConfig>,
     /// Most arrivals one ingest batch may carry
     /// ([`run_source`](PoolHandle::run_source) /
     /// [`offer_batch`](PoolHandle::offer_batch)); 1 degenerates to
@@ -244,7 +206,7 @@ pub struct ServeConfig {
     /// eagerly shards may simulate ahead.
     pub watermark_stride: Time,
     /// Capacity of each shard's control-plane flight ring (structured
-    /// swap/steal/overload events kept for diagnosis; oldest evicted when
+    /// swap/watermark/overload events kept for diagnosis; oldest evicted when
     /// full).
     pub flight_capacity: usize,
 }
@@ -262,7 +224,6 @@ impl ServeConfig {
             policy: OverloadPolicy::Block,
             routing: Routing::Hash,
             max_horizon: 100_000_000,
-            steal: None,
             ingest_batch: 32,
             watermark_stride: 0,
             flight_capacity: 256,
@@ -300,22 +261,6 @@ impl ServeConfig {
                 Time::MAX / 2,
                 self.max_horizon
             )));
-        }
-        if let Some(steal) = self.steal {
-            if steal.low_watermark >= steal.high_watermark {
-                return Err(ServeError::InvalidConfig(format!(
-                    "steal low watermark ({}) must be below the high watermark ({})",
-                    steal.low_watermark, steal.high_watermark
-                )));
-            }
-            if self.policy != OverloadPolicy::Block {
-                return Err(ServeError::InvalidConfig(format!(
-                    "work stealing stages full-queue arrivals and requires the '{}' \
-                     overload policy, got '{}'",
-                    OverloadPolicy::Block,
-                    self.policy
-                )));
-            }
         }
         Ok(())
     }
@@ -364,12 +309,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enable work stealing with these thresholds.
-    pub fn steal(mut self, steal: StealConfig) -> Self {
-        self.cfg.steal = Some(steal);
-        self
-    }
-
     /// Most arrivals one ingest batch may carry (1 = per-event ingest).
     pub fn ingest_batch(mut self, max: usize) -> Self {
         self.cfg.ingest_batch = max;
@@ -397,28 +336,17 @@ impl ServeConfigBuilder {
 
 /// Ingest-side counters (what happened to offered arrivals).
 ///
-/// The books must always balance:
-/// `delivered + dropped + staged-in-flight == offered`, and pool-wide
-/// `stolen_in == stolen_out` (every migrated job leaves one shard's staged
-/// queue and lands on another).
+/// The books must always balance: `delivered + dropped == offered`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Arrivals offered to the pool.
     pub offered: u64,
-    /// Arrivals delivered to some shard (directly, pumped from staging, or
-    /// donated to a thief).
+    /// Arrivals delivered to some shard.
     pub delivered: u64,
     /// Arrivals shed under [`OverloadPolicy::DropNewest`].
     pub dropped: u64,
-    /// Arrivals placed on a shard other than the routed one under
-    /// [`OverloadPolicy::Redirect`].
-    pub redirected: u64,
     /// Arrivals whose release went backwards and was clamped forward.
     pub reordered: u64,
-    /// Jobs migrated onto an underloaded shard by work stealing.
-    pub stolen_in: u64,
-    /// Jobs migrated off an overloaded shard's staged queue.
-    pub stolen_out: u64,
     /// Watermark broadcasts skipped because a shard's queue was full. Not
     /// part of the balance equation: a full queue already holds a command
     /// that advances the shard at least as far, and the router's dedup
@@ -426,16 +354,7 @@ pub struct IngestStats {
     pub wm_skipped: u64,
 }
 
-serde::impl_serde_struct!(IngestStats {
-    offered,
-    delivered,
-    dropped,
-    redirected,
-    reordered,
-    stolen_in,
-    stolen_out,
-    wm_skipped
-});
+serde::impl_serde_struct!(IngestStats { offered, delivered, dropped, reordered, wm_skipped });
 
 impl IngestStats {
     /// Field-wise difference `self - earlier`. Counters only grow, so the
@@ -447,10 +366,7 @@ impl IngestStats {
             offered: self.offered.saturating_sub(earlier.offered),
             delivered: self.delivered.saturating_sub(earlier.delivered),
             dropped: self.dropped.saturating_sub(earlier.dropped),
-            redirected: self.redirected.saturating_sub(earlier.redirected),
             reordered: self.reordered.saturating_sub(earlier.reordered),
-            stolen_in: self.stolen_in.saturating_sub(earlier.stolen_in),
-            stolen_out: self.stolen_out.saturating_sub(earlier.stolen_out),
             wm_skipped: self.wm_skipped.saturating_sub(earlier.wm_skipped),
         }
     }
@@ -476,17 +392,10 @@ impl PoolSnapshot {
         self.shards.iter().map(|s| s.dispatched).sum()
     }
 
-    /// Arrivals staged router-side, offered but not yet delivered.
-    pub fn in_flight(&self) -> u64 {
-        self.shards.iter().map(|s| s.staged as u64).sum()
-    }
-
     /// Whether every offered arrival is accounted for:
-    /// `delivered + dropped + in-flight == offered` and
-    /// `stolen_in == stolen_out`.
+    /// `delivered + dropped == offered`.
     pub fn accounting_balanced(&self) -> bool {
-        self.ingest.delivered + self.ingest.dropped + self.in_flight() == self.ingest.offered
-            && self.ingest.stolen_in == self.ingest.stolen_out
+        self.ingest.delivered + self.ingest.dropped == self.ingest.offered
     }
 
     /// One human-readable stats line (the CLI's periodic heartbeat).
@@ -495,14 +404,10 @@ impl PoolSnapshot {
         let queued: usize = self.shards.iter().map(|s| s.queue_len).sum();
         let lb = self.shards.iter().map(|s| s.lower_bound).max().unwrap_or(0);
         format!(
-            "t>={now} admitted={} dispatched={} queued={queued} staged={} lb>={lb} \
-             dropped={} redirected={} stolen={}",
+            "t>={now} admitted={} dispatched={} queued={queued} lb>={lb} dropped={}",
             self.total_admitted(),
             self.total_dispatched(),
-            self.in_flight(),
             self.ingest.dropped,
-            self.ingest.redirected,
-            self.ingest.stolen_in,
         )
     }
 }
@@ -513,8 +418,6 @@ struct Router {
     seq: u64,
     last_release: Time,
     ingest: IngestStats,
-    /// Per-shard arrivals accepted but not yet delivered (steal mode only).
-    staged: Vec<VecDeque<Arrival>>,
     /// Highest watermark each shard is known to have seen (via an admit or
     /// an accepted broadcast). A broadcast that cannot advance a shard past
     /// this value is skipped — it would be a no-op channel op.
@@ -523,10 +426,8 @@ struct Router {
     /// full queue — the next successful send is recorded as a flight
     /// `wm-retry` event.
     wm_skip: Vec<bool>,
-    /// Jobs placed on each shard by the router so far — the deterministic
-    /// load ledger behind [`Routing::LeastLoaded`]. Counts actual
-    /// placements: redirects credit the shard that took the job, stolen
-    /// jobs move victim → thief, drops count nowhere.
+    /// Jobs delivered to each shard by the router so far — the load ledger
+    /// behind [`Routing::LeastLoaded`]. Drops count nowhere.
     assigned: Vec<u64>,
 }
 
@@ -578,190 +479,64 @@ impl PoolHandle {
         }
     }
 
-    /// Flush shard `i`'s staged queue into its channel while there is room.
-    fn pump_shard(&self, r: &mut Router, i: usize) -> Result<(), ServeError> {
-        while let Some(arrival) = r.staged[i].pop_front() {
-            match self.core.txs[i].try_send(ShardCmd::Admit(arrival)) {
-                Ok(()) => r.ingest.delivered += 1,
-                Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
-                    r.staged[i].push_front(arrival);
-                    break;
-                }
-                Err(TrySendError::Full(_)) => unreachable!("pumped a non-admit command"),
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+    /// Place every arrival, then deliver one [`ShardCmd::Admit`] per shard
+    /// under the configured policy, updating the load and watermark
+    /// ledgers. This is the pool's only ingest path. Callers broadcast the
+    /// frontier afterwards, so the router lock is held across the batch.
+    fn deliver(
+        &self,
+        r: &mut Router,
+        specs: impl Iterator<Item = JobSpec>,
+        offered_us: u64,
+    ) -> Result<(), ServeError> {
+        let mut buckets: Vec<Vec<Arrival>> = (0..self.core.txs.len()).map(|_| Vec::new()).collect();
+        for mut spec in specs {
+            r.ingest.offered += 1;
+            if spec.release < r.last_release {
+                spec.release = r.last_release;
+                r.ingest.reordered += 1;
             }
+            r.last_release = spec.release;
+            let target = self.pick_shard(r);
+            r.seq = r.seq.wrapping_add(1);
+            r.assigned[target] += 1;
+            buckets[target].push(Arrival { spec, offered_us });
         }
-        Ok(())
-    }
-
-    /// One stealing round: if some shard's backlog sank to the low
-    /// watermark while another's exceeds the high watermark *and* has
-    /// staged jobs to give, migrate half the victim's staged queue (taken
-    /// from the back — the latest arrivals) to the thief in one
-    /// [`ShardCmd::Donate`] batch. The thief re-releases donated jobs at
-    /// its own event time, so admitted work never moves and per-shard
-    /// determinism is untouched.
-    fn rebalance(&self, r: &mut Router) -> Result<(), ServeError> {
-        let Some(steal) = self.core.cfg.steal else {
-            return Ok(());
-        };
-        let n = self.core.txs.len();
-        if n < 2 {
-            return Ok(());
-        }
-        let backlog: Vec<usize> =
-            (0..n).map(|i| self.core.txs[i].len() + r.staged[i].len()).collect();
-        let thief = (0..n)
-            .filter(|&i| r.staged[i].is_empty() && backlog[i] <= steal.low_watermark)
-            .min_by_key(|&i| backlog[i]);
-        let victim = (0..n)
-            .filter(|&i| !r.staged[i].is_empty() && backlog[i] >= steal.high_watermark)
-            .max_by_key(|&i| backlog[i]);
-        let (Some(thief), Some(victim)) = (thief, victim) else {
-            return Ok(());
-        };
-        if thief == victim {
-            return Ok(());
-        }
-        let keep = r.staged[victim].len() - r.staged[victim].len().div_ceil(2);
-        let moved: Vec<Arrival> = r.staged[victim].split_off(keep).into();
-        let count = moved.len() as u64;
-        match self.core.txs[thief].try_send(ShardCmd::Donate(moved)) {
-            Ok(()) => {
-                r.ingest.stolen_out += count;
-                r.ingest.stolen_in += count;
+        for (i, bucket) in buckets.into_iter().enumerate() {
+            let Some(last) = bucket.last().map(|a| a.spec.release) else {
+                continue;
+            };
+            let count = bucket.len() as u64;
+            let tx = &self.core.txs[i];
+            let sent = match self.core.cfg.policy {
+                OverloadPolicy::Block => {
+                    tx.send(ShardCmd::Admit(bucket)).map_err(|_| ServeError::PoolClosed)?;
+                    true
+                }
+                OverloadPolicy::DropNewest => match tx.try_send(ShardCmd::Admit(bucket)) {
+                    Ok(()) => true,
+                    Err(TrySendError::Full(_)) => false,
+                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+                },
+            };
+            if sent {
                 r.ingest.delivered += count;
-                r.assigned[victim] -= count;
-                r.assigned[thief] += count;
-                self.core.tel.shard(victim).flight.record(FlightEvent {
+                // The admit itself carries the release: once the shard
+                // processes it, its safe time is at least this far along.
+                r.wm_known[i] = r.wm_known[i].max(last);
+            } else {
+                r.ingest.dropped += count;
+                r.assigned[i] -= count;
+                self.core.tel.shard(i).flight.record(FlightEvent {
                     us: self.core.tel.now_us(),
-                    shard: victim,
-                    kind: FlightKind::Steal,
-                    t: r.last_release,
-                    detail: format!("{victim}→{thief} x{count}"),
+                    shard: i,
+                    kind: FlightKind::Drop,
+                    t: last,
+                    detail: format!("x{count}"),
                 });
             }
-            Err(TrySendError::Full(ShardCmd::Donate(jobs))) => {
-                // Thief filled up in the meantime: put the jobs back.
-                r.staged[victim].extend(jobs);
-            }
-            Err(TrySendError::Full(_)) => unreachable!("donated a non-donate command"),
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
         }
         Ok(())
-    }
-
-    /// Route one arrival under the configured policy, updating the load and
-    /// watermark ledgers. Returns the shard the job was delivered to
-    /// (`None` if it was staged or dropped). Callers broadcast the frontier
-    /// afterwards, so the router lock is held across a whole batch.
-    fn route_one(&self, r: &mut Router, mut arrival: Arrival) -> Result<Option<usize>, ServeError> {
-        r.ingest.offered += 1;
-        if arrival.spec.release < r.last_release {
-            arrival.spec.release = r.last_release;
-            r.ingest.reordered += 1;
-        }
-        r.last_release = arrival.spec.release;
-        let release = arrival.spec.release;
-        let target = self.pick_shard(r);
-        r.seq = r.seq.wrapping_add(1);
-
-        let mut delivered_to = None;
-        if self.core.cfg.steal.is_some() {
-            // Staging path: never block ingest; preserve per-shard FIFO by
-            // staging behind any jobs already waiting for this shard. The
-            // load ledger credits the routed shard now; rebalance moves the
-            // credit if the job is later stolen.
-            r.assigned[target] += 1;
-            self.pump_shard(r, target)?;
-            if r.staged[target].is_empty() {
-                match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
-                    Ok(()) => {
-                        delivered_to = Some(target);
-                        r.ingest.delivered += 1;
-                    }
-                    Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
-                        r.staged[target].push_back(arrival);
-                    }
-                    Err(TrySendError::Full(_)) => unreachable!("offered a non-admit command"),
-                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
-                }
-            } else {
-                r.staged[target].push_back(arrival);
-            }
-        } else {
-            match self.core.cfg.policy {
-                OverloadPolicy::Block => {
-                    self.core.txs[target]
-                        .send(ShardCmd::Admit(arrival))
-                        .map_err(|_| ServeError::PoolClosed)?;
-                    delivered_to = Some(target);
-                }
-                OverloadPolicy::DropNewest => {
-                    match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
-                        Ok(()) => delivered_to = Some(target),
-                        Err(TrySendError::Full(_)) => {
-                            r.ingest.dropped += 1;
-                            self.core.tel.shard(target).flight.record(FlightEvent {
-                                us: self.core.tel.now_us(),
-                                shard: target,
-                                kind: FlightKind::Drop,
-                                t: release,
-                                detail: String::new(),
-                            });
-                        }
-                        Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
-                    }
-                }
-                OverloadPolicy::Redirect => {
-                    let mut order: Vec<usize> = (0..self.core.txs.len()).collect();
-                    order.sort_by_key(|&i| (i != target, self.core.txs[i].len()));
-                    let mut cmd = Some(ShardCmd::Admit(arrival));
-                    for &i in &order {
-                        match self.core.txs[i].try_send(cmd.take().expect("command pending")) {
-                            Ok(()) => {
-                                delivered_to = Some(i);
-                                break;
-                            }
-                            Err(TrySendError::Full(back)) => cmd = Some(back),
-                            Err(TrySendError::Disconnected(_)) => {
-                                return Err(ServeError::PoolClosed)
-                            }
-                        }
-                    }
-                    if let Some(cmd) = cmd {
-                        // Everyone is full: fall back to backpressure.
-                        self.core.txs[target].send(cmd).map_err(|_| ServeError::PoolClosed)?;
-                        delivered_to = Some(target);
-                    }
-                    if delivered_to != Some(target) {
-                        r.ingest.redirected += 1;
-                        self.core.tel.shard(target).flight.record(FlightEvent {
-                            us: self.core.tel.now_us(),
-                            shard: target,
-                            kind: FlightKind::Redirect,
-                            t: release,
-                            detail: format!(
-                                "{target}→{}",
-                                delivered_to.expect("redirect delivered somewhere")
-                            ),
-                        });
-                    }
-                }
-            }
-            if let Some(i) = delivered_to {
-                r.ingest.delivered += 1;
-                r.assigned[i] += 1;
-            }
-        }
-        if let Some(i) = delivered_to {
-            // The admit itself carries the release: once the shard processes
-            // it, its safe time is at least this far along.
-            if release > r.wm_known[i] {
-                r.wm_known[i] = release;
-            }
-        }
-        Ok(delivered_to)
     }
 
     /// Send frontier watermarks to shards that need them. `force` flushes
@@ -770,15 +545,9 @@ impl PoolHandle {
     /// frontier has advanced at least one stride past what the shard is
     /// known to have seen.
     fn broadcast_frontier(&self, r: &mut Router, force: bool) {
-        let frontier = r.last_release;
+        let w = r.last_release;
         let stride = self.core.cfg.watermark_stride;
         for (i, tx) in self.core.txs.iter().enumerate() {
-            // A shard with staged jobs must not outrun its own backlog, so
-            // its watermark is capped at the staged front's release.
-            let w = match r.staged[i].front() {
-                Some(a) => frontier.min(a.spec.release),
-                None => frontier,
-            };
             if w <= r.wm_known[i] {
                 continue;
             }
@@ -821,26 +590,25 @@ impl PoolHandle {
         }
     }
 
-    /// Route one arrival. A release earlier than the last offered one is
-    /// clamped forward (counted in [`IngestStats::reordered`]) so shard
-    /// sessions always see admissible order.
+    /// Route one arrival: a batch of one. A release earlier than the last
+    /// offered one is clamped forward (counted in
+    /// [`IngestStats::reordered`]) so shard sessions always see admissible
+    /// order. Unlike a batch, a single offer leaves the frontier to the
+    /// [`ServeConfig::watermark_stride`] rule.
     pub fn offer(&self, spec: JobSpec) -> Result<(), ServeError> {
         let offered_us = self.core.tel.now_us();
         let r = &mut *self.router();
-        self.route_one(r, Arrival { spec, offered_us })?;
-        if self.core.cfg.steal.is_some() {
-            self.rebalance(r)?;
-        }
+        self.deliver(r, std::iter::once(spec), offered_us)?;
         self.broadcast_frontier(r, false);
         Ok(())
     }
 
     /// Route a whole ingest batch under one router lock. Same-shard
-    /// placements coalesce into a single [`ShardCmd::AdmitBatch`] — one
-    /// queue slot, one channel op — and the event-time frontier is flushed
-    /// at the batch boundary. Drains `specs` so the caller can reuse the
-    /// buffer. Placement is identical to offering the same jobs one at a
-    /// time; only the channel traffic differs.
+    /// placements coalesce into a single [`ShardCmd::Admit`] — one queue
+    /// slot, one channel op — and the event-time frontier is flushed at the
+    /// batch boundary. Drains `specs` so the caller can reuse the buffer.
+    /// Placement is identical to offering the same jobs one at a time; only
+    /// the channel traffic differs.
     pub fn offer_batch(&self, specs: &mut Vec<JobSpec>) -> Result<(), ServeError> {
         self.offer_batch_stamped(specs, self.core.tel.now_us()).map(|_| ())
     }
@@ -861,78 +629,7 @@ impl PoolHandle {
         }
         let r = &mut *self.router();
         let before = r.ingest;
-        let stealing = self.core.cfg.steal.is_some();
-        if stealing || self.core.cfg.policy == OverloadPolicy::Block {
-            // Coalescing path: place every arrival first, then deliver one
-            // command per shard.
-            let n = self.core.txs.len();
-            let mut buckets: Vec<Vec<Arrival>> = (0..n).map(|_| Vec::new()).collect();
-            for mut spec in specs.drain(..) {
-                r.ingest.offered += 1;
-                if spec.release < r.last_release {
-                    spec.release = r.last_release;
-                    r.ingest.reordered += 1;
-                }
-                r.last_release = spec.release;
-                let target = self.pick_shard(r);
-                r.seq = r.seq.wrapping_add(1);
-                r.assigned[target] += 1;
-                buckets[target].push(Arrival { spec, offered_us });
-            }
-            for (i, bucket) in buckets.into_iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let count = bucket.len() as u64;
-                let last = bucket.last().expect("nonempty bucket").spec.release;
-                if stealing {
-                    // Same non-blocking discipline as route_one, batch-wide:
-                    // FIFO order demands the whole bucket stages if anything
-                    // for this shard is already staged.
-                    self.pump_shard(r, i)?;
-                    if r.staged[i].is_empty() {
-                        match self.core.txs[i].try_send(ShardCmd::AdmitBatch(bucket)) {
-                            Ok(()) => {
-                                r.ingest.delivered += count;
-                                if last > r.wm_known[i] {
-                                    r.wm_known[i] = last;
-                                }
-                            }
-                            Err(TrySendError::Full(ShardCmd::AdmitBatch(jobs))) => {
-                                r.staged[i].extend(jobs);
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                unreachable!("offered a non-admit command")
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                return Err(ServeError::PoolClosed)
-                            }
-                        }
-                    } else {
-                        r.staged[i].extend(bucket);
-                    }
-                } else {
-                    self.core.txs[i]
-                        .send(ShardCmd::AdmitBatch(bucket))
-                        .map_err(|_| ServeError::PoolClosed)?;
-                    r.ingest.delivered += count;
-                    if last > r.wm_known[i] {
-                        r.wm_known[i] = last;
-                    }
-                }
-            }
-        } else {
-            // Drop and redirect decide per arrival from instantaneous queue
-            // room; coalescing those decisions away would change what gets
-            // shed or moved. They keep per-job channel ops but still share
-            // one lock acquisition and one frontier flush per batch.
-            for spec in specs.drain(..) {
-                self.route_one(r, Arrival { spec, offered_us })?;
-            }
-        }
-        if stealing {
-            self.rebalance(r)?;
-        }
+        self.deliver(r, specs.drain(..), offered_us)?;
         self.broadcast_frontier(r, true);
         Ok(r.ingest.delta_since(&before))
     }
@@ -1081,7 +778,6 @@ impl PoolHandle {
             .map(|(i, t)| {
                 let mut snap = t.progress();
                 snap.queue_len = self.core.txs[i].len();
-                snap.staged = r.staged[i].len();
                 snap
             })
             .collect();
@@ -1096,12 +792,8 @@ impl PoolHandle {
             // Flush the exact frontier first: a shard must not settle short
             // of event time just because strided broadcasts lagged behind.
             let r = &mut *self.router();
-            let frontier = r.last_release;
+            let w = r.last_release;
             for (i, tx) in self.core.txs.iter().enumerate() {
-                let w = match r.staged[i].front() {
-                    Some(a) => frontier.min(a.spec.release),
-                    None => frontier,
-                };
                 if w > r.wm_known[i] {
                     tx.send(ShardCmd::Watermark(w)).map_err(|_| ServeError::PoolClosed)?;
                     r.wm_known[i] = w;
@@ -1120,19 +812,9 @@ impl PoolHandle {
             .collect()
     }
 
-    /// Flush every staged job (blocking until the shards accept them) and
-    /// tell every shard to run dry. After this the pool accepts no more
+    /// Tell every shard to run dry. After this the pool accepts no more
     /// work; join the workers with [`ShardPool::drain`].
     pub fn request_drain(&self) -> Result<(), ServeError> {
-        let r = &mut *self.router();
-        for i in 0..self.core.txs.len() {
-            while let Some(arrival) = r.staged[i].pop_front() {
-                self.core.txs[i]
-                    .send(ShardCmd::Admit(arrival))
-                    .map_err(|_| ServeError::PoolClosed)?;
-                r.ingest.delivered += 1;
-            }
-        }
         for tx in &self.core.txs {
             tx.send(ShardCmd::Drain).map_err(|_| ServeError::PoolClosed)?;
         }
@@ -1214,7 +896,6 @@ impl ShardPool {
                 seq: 0,
                 last_release: 0,
                 ingest: IngestStats::default(),
-                staged: (0..shards).map(|_| VecDeque::new()).collect(),
                 wm_known: vec![0; shards],
                 wm_skip: vec![false; shards],
                 assigned: vec![0; shards],
@@ -1279,7 +960,7 @@ impl ShardPool {
         self.handle.snapshot()
     }
 
-    /// Graceful shutdown: flush staged work, tell every shard to run dry,
+    /// Graceful shutdown: tell every shard to run dry,
     /// wait for all of them, and return their results ordered by shard
     /// index. If any worker panicked, the surviving results are discarded
     /// and [`ServeError::ShardPanicked`] lists the dead shards; their
@@ -1324,7 +1005,7 @@ mod tests {
 
     #[test]
     fn policy_and_routing_names_roundtrip() {
-        for p in [OverloadPolicy::Block, OverloadPolicy::DropNewest, OverloadPolicy::Redirect] {
+        for p in [OverloadPolicy::Block, OverloadPolicy::DropNewest] {
             assert_eq!(p.name().parse::<OverloadPolicy>(), Ok(p));
             assert_eq!(p.to_string(), p.name());
         }
@@ -1345,15 +1026,6 @@ mod tests {
             ServeConfig::builder(fifo(), 2).queue_cap(0).build(),
             ServeConfig::builder(fifo(), 2).max_horizon(0).build(),
             ServeConfig::builder(fifo(), 2).max_horizon(Time::MAX).build(),
-            ServeConfig::builder(fifo(), 2)
-                .shards(2)
-                .steal(StealConfig { low_watermark: 4, high_watermark: 4 })
-                .build(),
-            ServeConfig::builder(fifo(), 2)
-                .shards(2)
-                .policy(OverloadPolicy::DropNewest)
-                .steal(StealConfig::default())
-                .build(),
         ] {
             match bad {
                 Err(ServeError::InvalidConfig(msg)) => assert!(!msg.is_empty()),
@@ -1414,7 +1086,7 @@ mod tests {
         assert!(snap.accounting_balanced(), "{:?}", snap.ingest);
         let line = snap.line();
         assert!(line.contains("admitted="), "{line}");
-        assert!(line.contains("staged="), "{line}");
+        assert!(line.contains("dropped=0"), "{line}");
         let results = pool.drain().expect("drain");
         let total: usize = results.iter().map(|r| r.summary.jobs).sum();
         assert_eq!(total, 6);
@@ -1445,48 +1117,6 @@ mod tests {
         let err = pool.swap(Some(7), 0, fifo()).expect_err("out of range");
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         pool.drain().expect("drain");
-    }
-
-    #[test]
-    fn donated_jobs_are_rereleased_at_the_thief() {
-        // Bypass the router and donate out-of-order releases directly: the
-        // shard must clamp them forward instead of panicking.
-        let pool = ShardPool::launch(ServeConfig::new(fifo(), 1)).expect("launch");
-        pool.offer(JobSpec { graph: chain(2), release: 9 }).expect("offer");
-        let donated: Vec<Arrival> = vec![
-            JobSpec { graph: chain(2), release: 3 }.into(),
-            JobSpec { graph: star(2), release: 1 }.into(),
-        ];
-        pool.handle.core.txs[0].send(ShardCmd::Donate(donated)).expect("donate");
-        let results = pool.drain().expect("drain");
-        assert_eq!(results[0].summary.jobs, 3);
-        // Clamped to the last admitted release, never earlier.
-        assert!(results[0].instance.last_release() >= 9);
-        assert!(results[0].summary.invariants_clean);
-    }
-
-    #[test]
-    fn stealing_pool_loses_no_work_and_balances_books() {
-        let cfg = ServeConfig::builder(fifo(), 1)
-            .shards(2)
-            .queue_cap(2)
-            .scenario("steal")
-            .steal(StealConfig { low_watermark: 0, high_watermark: 2 })
-            .build()
-            .expect("valid config");
-        let pool = ShardPool::launch(cfg).expect("launch");
-        let total = 64usize;
-        for t in 0..total {
-            pool.offer(JobSpec { graph: chain(4), release: t as Time }).expect("offer");
-            let snap = pool.snapshot();
-            assert!(snap.accounting_balanced(), "mid-stream books: {:?}", snap.ingest);
-        }
-        let results = pool.drain().expect("drain");
-        let ingest = results.iter().map(|r| r.summary.jobs).sum::<usize>();
-        assert_eq!(ingest, total, "work was lost");
-        for r in &results {
-            assert!(r.summary.invariants_clean, "shard {} dirty", r.shard);
-        }
     }
 
     #[test]

@@ -8,24 +8,17 @@
 //! [`summarize`](flowtree_analysis::summarize) path. Commands arrive on a
 //! bounded channel:
 //!
-//! * [`ShardCmd::Admit`] admits an arrival and advances the shard's *safe*
-//!   time to the job's release — once the router has shown us release `r`,
-//!   the global nondecreasing-release contract guarantees no later arrival
-//!   can land before `r`, so every step `t < r` may be simulated.
-//! * [`ShardCmd::AdmitBatch`] admits a router-coalesced batch in one queue
-//!   slot and one [`Session::admit_batch`] call; the batch's last release
-//!   implies the watermark. Because placement is per job and the admitted
+//! * [`ShardCmd::Admit`] admits a router-coalesced batch of arrivals in one
+//!   queue slot and one [`Session::admit_batch`] call, and advances the
+//!   shard's *safe* time to the batch's last release — once the router has
+//!   shown us release `r`, the global nondecreasing-release contract
+//!   guarantees no later arrival can land before `r`, so every step `t < r`
+//!   may be simulated. Because placement is per job and the admitted
 //!   sequence per shard is what determines its final result, a batched
-//!   delivery is bit-for-bit equivalent to the same jobs delivered one
-//!   [`ShardCmd::Admit`] at a time (pinned by the batched differential
-//!   suite).
+//!   delivery is bit-for-bit equivalent to the same jobs delivered one at a
+//!   time (pinned by the batched differential suite).
 //! * [`ShardCmd::Watermark`] advances safe time without a job (the arrival
-//!   went to a different shard, was dropped, or is staged behind this
-//!   shard's own backlog).
-//! * [`ShardCmd::Donate`] admits jobs migrated from another shard's ingress
-//!   backlog (work stealing). A donated job's release is clamped forward to
-//!   this shard's event time — migration re-releases it here — so the
-//!   session's nondecreasing-admission contract survives the move.
+//!   went to a different shard or was dropped).
 //! * [`ShardCmd::Swap`] requests a **live scheduler hot-swap** at an event
 //!   time: the shard quiesces there (finishes every whole subjob step up to
 //!   the swap point; sessions never split a step), rebuilds the scheduler
@@ -35,8 +28,6 @@
 //! * [`ShardCmd::Quiesce`] finishes all in-flight work up to the current
 //!   watermark, then replies with a fresh [`ShardSnapshot`] — a synchronous
 //!   barrier for callers that need a settled view.
-//! * [`ShardCmd::Snapshot`] replies immediately with the shard's current
-//!   view, without forcing simulation.
 //! * [`ShardCmd::Drain`] (or a closed channel) lifts the watermark limit
 //!   entirely: the session runs dry, and the worker returns a
 //!   [`ShardResult`] carrying the [`RunReport`], the materialized
@@ -56,9 +47,8 @@ use crate::telemetry::{FlightEvent, FlightKind, LatencyProbe, ShardTelemetry};
 
 /// One arrival in flight through the pool: the job plus the wall-clock
 /// stamp (µs since the pool's epoch) of when the router first saw it. The
-/// stamp rides along through staging, batching, and donation so end-to-end
-/// latency is measured from the *offer*, not from whichever queue the job
-/// last sat in.
+/// stamp rides along through batching so end-to-end latency is measured
+/// from the *offer*, not from whichever queue the job last sat in.
 #[derive(Debug, Clone)]
 pub struct Arrival {
     /// The job being delivered.
@@ -67,34 +57,20 @@ pub struct Arrival {
     pub offered_us: u64,
 }
 
-impl From<JobSpec> for Arrival {
-    /// Wrap a bare spec with a zero stamp (tests and direct injection).
-    fn from(spec: JobSpec) -> Self {
-        Arrival { spec, offered_us: 0 }
-    }
-}
-
 /// A control-plane command from the router to one shard worker.
 #[derive(Debug)]
 pub enum ShardCmd {
-    /// Admit this arrival (its release implies a watermark).
-    Admit(Arrival),
     /// Admit a coalesced batch of arrivals (releases nondecreasing within
     /// the batch; the last one implies the watermark). One queue slot, one
     /// [`Session::admit_batch`] call.
-    AdmitBatch(Vec<Arrival>),
+    Admit(Vec<Arrival>),
     /// No job for you, but event time has advanced this far.
     Watermark(Time),
-    /// Admit jobs stolen from another shard's ingress backlog; releases are
-    /// clamped forward to this shard's event time.
-    Donate(Vec<Arrival>),
     /// Hot-swap the scheduler once simulation reaches the directive's time.
     Swap(SwapDirective),
     /// Finish in-flight work up to the current watermark, then reply with a
     /// settled snapshot.
     Quiesce(Sender<ShardSnapshot>),
-    /// Reply with the current snapshot without forcing simulation.
-    Snapshot(Sender<ShardSnapshot>),
     /// No further arrivals follow: run dry and report.
     Drain,
 }
@@ -142,15 +118,10 @@ pub struct ShardSnapshot {
     pub dispatched: u64,
     /// The live Lemma 5.1 lower bound over admitted jobs.
     pub lower_bound: u64,
-    /// Jobs admitted via [`ShardCmd::Donate`] (stolen in).
-    pub donated: u64,
     /// Scheduler hot-swaps applied so far.
     pub swaps: u64,
     /// Commands queued to the shard (filled in by the pool, not the worker).
     pub queue_len: usize,
-    /// Arrivals staged router-side for this shard, awaiting delivery
-    /// (filled in by the pool; nonzero only with stealing enabled).
-    pub staged: usize,
 }
 
 /// What one drained shard hands back.
@@ -179,7 +150,7 @@ type ShardProbe<'a> = (
     &'a mut LatencyProbe,
 );
 
-fn snapshot_of(session: &Session<ShardProbe<'_>>, swaps: u64, donated: u64) -> ShardSnapshot {
+fn snapshot_of(session: &Session<ShardProbe<'_>>, swaps: u64) -> ShardSnapshot {
     let counters = session.counters();
     ShardSnapshot {
         now: session.now(),
@@ -187,10 +158,8 @@ fn snapshot_of(session: &Session<ShardProbe<'_>>, swaps: u64, donated: u64) -> S
         steps: counters.steps,
         dispatched: counters.dispatched,
         lower_bound: session.probe().0.lower_bound(),
-        donated,
         swaps,
         queue_len: 0,
-        staged: 0,
     }
 }
 
@@ -222,7 +191,6 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
 
     let mut safe: Time = 0;
     let mut draining = false;
-    let mut donated: u64 = 0;
     let mut swaps: Vec<SwapEvent> = Vec::new();
     let mut pending_swaps: Vec<SwapDirective> = Vec::new();
     let mut quiesce_replies: Vec<Sender<ShardSnapshot>> = Vec::new();
@@ -241,15 +209,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
         }
         for cmd in batch.drain(..) {
             match cmd {
-                ShardCmd::Admit(a) => {
-                    safe = safe.max(a.spec.release);
-                    let id = session
-                        .admit(a.spec)
-                        .expect("router delivers jobs in nondecreasing release order");
-                    let now_us = tel.now_us();
-                    session.probe_mut().3.stamp(id, a.offered_us, now_us);
-                }
-                ShardCmd::AdmitBatch(arrivals) => {
+                ShardCmd::Admit(arrivals) => {
                     if let Some(last) = arrivals.last() {
                         safe = safe.max(last.spec.release);
                     }
@@ -264,39 +224,11 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                     }
                 }
                 ShardCmd::Watermark(w) => safe = safe.max(w),
-                ShardCmd::Donate(arrivals) => {
-                    let count = arrivals.len();
-                    for mut a in arrivals {
-                        // Migration re-releases the job at this shard's
-                        // event time: never earlier than the clock or the
-                        // latest admission, so the session contract holds.
-                        a.spec.release = a.spec.release.max(session.now());
-                        if session.num_admitted() > 0 {
-                            a.spec.release = a.spec.release.max(session.instance().last_release());
-                        }
-                        safe = safe.max(a.spec.release);
-                        let id =
-                            session.admit(a.spec).expect("donated releases are clamped admissible");
-                        let now_us = tel.now_us();
-                        session.probe_mut().3.stamp(id, a.offered_us, now_us);
-                        donated += 1;
-                    }
-                    tel.flight.record(FlightEvent {
-                        us: tel.now_us(),
-                        shard,
-                        kind: FlightKind::Donate,
-                        t: session.now(),
-                        detail: format!("x{count}"),
-                    });
-                }
                 ShardCmd::Swap(d) => {
                     pending_swaps.push(d);
                     pending_swaps.sort_by_key(|d| d.at);
                 }
                 ShardCmd::Quiesce(reply) => quiesce_replies.push(reply),
-                ShardCmd::Snapshot(reply) => {
-                    let _ = reply.send(snapshot_of(&session, swaps.len() as u64, donated));
-                }
                 ShardCmd::Drain => {
                     draining = true;
                     tel.flight.record(FlightEvent {
@@ -343,7 +275,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
             panic!("shard {shard}: {e}")
         });
         {
-            let fresh = snapshot_of(&session, swaps.len() as u64, donated);
+            let fresh = snapshot_of(&session, swaps.len() as u64);
             let p = session.probe();
             tel.publish(&fresh, p.1.total_violations(), p.0.max_flow().unwrap_or(0));
             if !quiesce_replies.is_empty() {

@@ -6,12 +6,6 @@
 //! recorded trace ([`ReplaySource`]), sampling a workload scenario lazily at
 //! a target arrival rate ([`GeneratorSource`]), and pulling from a channel
 //! fed by another thread ([`ChannelSource`]).
-//!
-//! The nondecreasing-release contract holds at the *source*; downstream the
-//! pool may reorder per shard. In particular a stealing pool re-releases
-//! donated jobs at the thief (clamped to the thief's clock and last admitted
-//! release), so per-shard admit order stays monotone even though the global
-//! interleaving differs from the source order.
 
 use std::collections::VecDeque;
 

@@ -17,9 +17,8 @@
 //!   dispatch (recorded by [`LatencyProbe`], once per job);
 //! * **arrival → completion** — router offer to the job's completion event.
 //!
-//! Control-plane happenings (scheduler swaps, steals/donations, watermark
-//! skips and retries, overload drops and redirects, quiesces, drains,
-//! worker panics) land in a bounded per-shard [`FlightRecorder`] ring as
+//! Control-plane happenings (scheduler swaps, watermark skips and retries,
+//! overload drops, quiesces, drains, worker panics) land in a bounded per-shard [`FlightRecorder`] ring as
 //! structured [`FlightEvent`]s; the ring survives a worker panic (it lives
 //! behind the pool's `Arc`), and the CLI dumps it as JSONL beside the
 //! results store for `report --flight` to render.
@@ -98,18 +97,13 @@ impl AtomicHisto {
 pub enum FlightKind {
     /// A scheduler hot-swap was applied on a shard.
     Swap,
-    /// A shard admitted a batch of donated (stolen) jobs.
-    Donate,
-    /// The router migrated staged jobs from a victim to a thief.
-    Steal,
     /// A watermark broadcast was skipped because the shard's queue was full.
     WmSkip,
     /// A previously skipped watermark value was successfully re-sent.
     WmRetry,
-    /// An arrival was shed under the drop overload policy.
+    /// Arrivals bound for a full shard were shed under the drop overload
+    /// policy (detail `x<count>`).
     Drop,
-    /// An arrival was redirected away from its routed shard.
-    Redirect,
     /// A shard settled at its watermark for a quiesce barrier.
     Quiesce,
     /// A shard received its drain order.
@@ -130,12 +124,9 @@ impl FlightKind {
     pub fn name(&self) -> &'static str {
         match self {
             FlightKind::Swap => "swap",
-            FlightKind::Donate => "donate",
-            FlightKind::Steal => "steal",
             FlightKind::WmSkip => "wm-skip",
             FlightKind::WmRetry => "wm-retry",
             FlightKind::Drop => "drop",
-            FlightKind::Redirect => "redirect",
             FlightKind::Quiesce => "quiesce",
             FlightKind::Drain => "drain",
             FlightKind::Panic => "panic",
@@ -158,12 +149,9 @@ impl std::str::FromStr for FlightKind {
     fn from_str(s: &str) -> Result<Self, String> {
         Ok(match s {
             "swap" => FlightKind::Swap,
-            "donate" => FlightKind::Donate,
-            "steal" => FlightKind::Steal,
             "wm-skip" => FlightKind::WmSkip,
             "wm-retry" => FlightKind::WmRetry,
             "drop" => FlightKind::Drop,
-            "redirect" => FlightKind::Redirect,
             "quiesce" => FlightKind::Quiesce,
             "drain" => FlightKind::Drain,
             "panic" => FlightKind::Panic,
@@ -196,21 +184,21 @@ pub struct FlightEvent {
     /// Monotonic wall-clock timestamp: microseconds since the pool's epoch.
     pub us: u64,
     /// The shard the event concerns (for router-side events, the shard
-    /// acted upon — the drop target, the steal victim, …).
+    /// acted upon — the watermark or drop target).
     pub shard: usize,
     /// What happened.
     pub kind: FlightKind,
     /// The relevant *event* time (swap time, watermark value, release …);
     /// 0 when no event time applies.
     pub t: Time,
-    /// Free-form context (`"fifo→lpf"`, `"2→0 x5"`, an error message …).
+    /// Free-form context (`"fifo→lpf"`, `"x5"`, an error message …).
     pub detail: String,
 }
 
 serde::impl_serde_struct!(FlightEvent { us, shard, kind, t, detail });
 
 /// A bounded ring of [`FlightEvent`]s. Control-plane events are rare (per
-/// swap / steal round / overload incident, never per arrival or per step),
+/// swap / overload incident, never per arrival or per step),
 /// so a plain mutex around a `VecDeque` is cheap; when the ring is full the
 /// oldest event is discarded and counted in [`dropped`](Self::dropped).
 #[derive(Debug)]
@@ -288,7 +276,6 @@ pub struct ShardTelemetry {
     admitted: AtomicU64,
     steps: AtomicU64,
     dispatched: AtomicU64,
-    donated: AtomicU64,
     swaps: AtomicU64,
     violations: AtomicU64,
     max_flow: AtomicU64,
@@ -308,7 +295,6 @@ impl ShardTelemetry {
             admitted: AtomicU64::new(0),
             steps: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
-            donated: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             max_flow: AtomicU64::new(0),
@@ -332,15 +318,14 @@ impl ShardTelemetry {
         self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
         self.steps.store(snap.steps, Ordering::Relaxed);
         self.dispatched.store(snap.dispatched, Ordering::Relaxed);
-        self.donated.store(snap.donated, Ordering::Relaxed);
         self.swaps.store(snap.swaps, Ordering::Relaxed);
         self.lower_bound.store(snap.lower_bound, Ordering::Relaxed);
         self.violations.store(violations, Ordering::Relaxed);
         self.max_flow.store(max_flow, Ordering::Relaxed);
     }
 
-    /// The latest published progress (reader side). `queue_len` and
-    /// `staged` are the pool's to fill in.
+    /// The latest published progress (reader side). `queue_len` is the
+    /// pool's to fill in.
     pub(crate) fn progress(&self) -> ShardSnapshot {
         ShardSnapshot {
             now: self.now.load(Ordering::Relaxed),
@@ -348,10 +333,8 @@ impl ShardTelemetry {
             steps: self.steps.load(Ordering::Relaxed),
             dispatched: self.dispatched.load(Ordering::Relaxed),
             lower_bound: self.lower_bound.load(Ordering::Relaxed),
-            donated: self.donated.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             queue_len: 0,
-            staged: 0,
         }
     }
 
@@ -567,14 +550,11 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "flowtree_uptime_seconds {}", self.uptime_us as f64 / 1e6);
 
         let ing = &self.ingest;
-        let counters: [(&str, u64, &str); 8] = [
+        let counters: [(&str, u64, &str); 5] = [
             ("offered", ing.offered, "Arrivals offered to the pool."),
             ("delivered", ing.delivered, "Arrivals delivered to some shard."),
             ("dropped", ing.dropped, "Arrivals shed under the drop policy."),
-            ("redirected", ing.redirected, "Arrivals placed off their routed shard."),
             ("reordered", ing.reordered, "Arrivals whose release was clamped forward."),
-            ("stolen_in", ing.stolen_in, "Jobs migrated onto an underloaded shard."),
-            ("stolen_out", ing.stolen_out, "Jobs migrated off an overloaded shard."),
             ("wm_skipped", ing.wm_skipped, "Watermark broadcasts skipped on full queues."),
         ];
         for (name, v, help) in counters {
@@ -589,13 +569,11 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "flowtree_shard_now{{shard=\"{i}\"}} {}", s.now);
         }
         type GaugeRow<'a, T> = (&'a str, &'a dyn Fn(&T) -> u64, &'a str);
-        let shard_gauges: [GaugeRow<'_, ShardSnapshot>; 7] = [
+        let shard_gauges: [GaugeRow<'_, ShardSnapshot>; 5] = [
             ("admitted", &|s| s.admitted as u64, "Jobs admitted so far."),
             ("steps", &|s| s.steps, "Steps simulated so far."),
             ("dispatched", &|s| s.dispatched, "Subjobs dispatched so far."),
             ("queue_len", &|s| s.queue_len as u64, "Commands queued to the shard."),
-            ("staged", &|s| s.staged as u64, "Arrivals staged router-side for the shard."),
-            ("donated", &|s| s.donated, "Jobs admitted via donation (stolen in)."),
             ("swaps", &|s| s.swaps, "Scheduler hot-swaps applied."),
         ];
         for (name, get, help) in shard_gauges {
@@ -915,9 +893,9 @@ mod tests {
             FlightEvent {
                 us: 34,
                 shard: 1,
-                kind: FlightKind::Steal,
+                kind: FlightKind::Drop,
                 t: 0,
-                detail: "1→0 x5".to_string(),
+                detail: "x5".to_string(),
             },
         ];
         write_flight_jsonl(&path, &events).expect("write");
@@ -930,12 +908,9 @@ mod tests {
     fn flight_kind_names_roundtrip() {
         for k in [
             FlightKind::Swap,
-            FlightKind::Donate,
-            FlightKind::Steal,
             FlightKind::WmSkip,
             FlightKind::WmRetry,
             FlightKind::Drop,
-            FlightKind::Redirect,
             FlightKind::Quiesce,
             FlightKind::Drain,
             FlightKind::Panic,

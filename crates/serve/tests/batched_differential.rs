@@ -1,21 +1,15 @@
-//! Differential property: the batched ingest path (coalesced
-//! `AdmitBatch` deliveries plus stride-amortized watermark broadcasts) is
-//! **bit for bit** the per-event path. Event-time watermarks only pace
-//! simulation — they never change what a shard computes — and placement is
-//! decided per job under the router lock in both paths, so for any stream,
-//! shard count, routing mode, steal setting, batch bound, and stride, the
-//! drained [`ShardResult`]s must be identical, hot-swaps included.
-//!
-//! Queue capacity is kept generous so backpressure staging never triggers:
-//! staging timing is load-dependent (a per-event pool fills queues in a
-//! different rhythm than a batched one), so it is exercised by the soak
-//! tests in `differential.rs`, not by this equivalence property.
+//! Differential property: batched ingest (coalesced multi-job `Admit`
+//! deliveries plus stride-amortized watermark broadcasts) is **bit for
+//! bit** the per-event path, where every job is its own `offer` — a batch
+//! of one. Event-time watermarks only pace simulation — they never change
+//! what a shard computes — and placement is decided per job under the
+//! router lock in both paths, so for any stream, shard count, routing mode,
+//! batch bound, and stride, the drained [`ShardResult`]s must be identical,
+//! hot-swaps included.
 
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::{GraphBuilder, JobGraph, Time};
-use flowtree_serve::{
-    OverloadPolicy, ReplaySource, Routing, ServeConfig, ShardPool, ShardResult, StealConfig,
-};
+use flowtree_serve::{OverloadPolicy, ReplaySource, Routing, ServeConfig, ShardPool, ShardResult};
 use flowtree_sim::{Instance, JobSpec};
 use proptest::prelude::*;
 
@@ -47,32 +41,22 @@ fn arb_stream(max_jobs: usize) -> impl Strategy<Value = Vec<JobSpec>> {
     })
 }
 
-fn config(
-    shards: usize,
-    routing: Routing,
-    steal: bool,
-    ingest_batch: usize,
-    stride: Time,
-) -> ServeConfig {
+fn config(shards: usize, routing: Routing, ingest_batch: usize, stride: Time) -> ServeConfig {
     let spec = SchedulerSpec::from_name_with_half("fifo", 1).unwrap();
-    let mut b = ServeConfig::builder(spec, 4)
+    ServeConfig::builder(spec, 4)
         .shards(shards)
         .scenario("batched-diff")
         .routing(routing)
         .policy(OverloadPolicy::Block)
-        // Generous: staging/backpressure never engages, so the only
-        // difference between the two pools is batching + stride.
         .queue_cap(4096)
         .ingest_batch(ingest_batch)
-        .watermark_stride(stride);
-    if steal {
-        b = b.steal(StealConfig::default());
-    }
-    b.build().expect("valid differential config")
+        .watermark_stride(stride)
+        .build()
+        .expect("valid differential config")
 }
 
 /// Drive `jobs` through a pool; `batched` uses the coalescing source path,
-/// otherwise every job is offered individually (the per-event reference,
+/// otherwise every job is its own `offer` (the per-event reference,
 /// equivalent to `ingest_batch = 1`, `stride = 0`). `swap_at` issues a
 /// pool-wide LPF hot-swap before any arrival is offered.
 fn run_pool(
@@ -105,7 +89,6 @@ proptest! {
         jobs in arb_stream(40),
         shards_pick in 0usize..3,
         least_loaded in 0u8..2,
-        steal_bit in 0u8..2,
         ingest_batch in 1usize..=48,
         stride in 0u64..=8,
         // 0 = no hot-swap; 1..=7 = pool-wide LPF swap at t = value - 1.
@@ -113,17 +96,16 @@ proptest! {
     ) {
         let shards = [1, 2, 4][shards_pick];
         let routing = if least_loaded == 1 { Routing::LeastLoaded } else { Routing::Hash };
-        let steal = steal_bit == 1;
         let swap = swap_raw.checked_sub(1);
         let reference = run_pool(
             &jobs,
-            config(shards, routing, steal, 1, 0),
+            config(shards, routing, 1, 0),
             false,
             swap,
         );
         let batched = run_pool(
             &jobs,
-            config(shards, routing, steal, ingest_batch, stride),
+            config(shards, routing, ingest_batch, stride),
             true,
             swap,
         );

@@ -2,12 +2,12 @@
 //! observer (bit-identical results with scraping on or off), sharded
 //! latency histograms must merge losslessly, and the flight recorder must
 //! agree with the authoritative control-plane ledgers (SwapEvents, the
-//! steal ledger).
+//! ingest ledger's drops).
 
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{
-    scrape_metrics, serve_metrics, AtomicHisto, FlightKind, ReplaySource, ServeConfig, ShardPool,
-    StealConfig,
+    scrape_metrics, serve_metrics, AtomicHisto, FlightKind, OverloadPolicy, ReplaySource,
+    ServeConfig, ShardPool,
 };
 use flowtree_sim::LogHistogram;
 use flowtree_workloads::mix::Scenario;
@@ -107,9 +107,7 @@ fn metrics_snapshot_accounts_are_consistent_and_latencies_populate() {
 
     let m = handle.metrics();
     assert_eq!(m.ingest.offered, 30);
-    let staged: u64 = m.shards.iter().map(|s| s.staged as u64).sum();
-    assert_eq!(m.ingest.delivered + m.ingest.dropped + staged, m.ingest.offered);
-    assert_eq!(m.ingest.stolen_in, m.ingest.stolen_out);
+    assert_eq!(m.ingest.delivered + m.ingest.dropped, m.ingest.offered);
     let merged = m.arrival_to_complete();
     assert_eq!(merged.count(), 30, "every job completion is latency-stamped");
     for t in &m.telemetry {
@@ -170,14 +168,16 @@ fn flight_recorder_swap_events_mirror_the_swap_ledger() {
 }
 
 #[test]
-fn flight_recorder_steal_events_balance_the_steal_ledger() {
+fn flight_recorder_drop_events_balance_the_drop_ledger() {
     let scenario = Scenario::service(1);
-    let mut src = flowtree_serve::GeneratorSource::new(&scenario, 4.0, 80, 23);
+    let mut src = flowtree_serve::GeneratorSource::new(&scenario, 4.0, 2000, 23);
     let cfg = ServeConfig::builder(spec("fifo"), 2)
-        .shards(3)
-        .queue_cap(2)
-        .scenario("steal")
-        .steal(StealConfig { low_watermark: 0, high_watermark: 2 })
+        .shards(2)
+        .queue_cap(1)
+        .policy(OverloadPolicy::DropNewest)
+        .scenario("drop")
+        // Room for every event, so no drop record is evicted.
+        .flight_capacity(1 << 14)
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
@@ -186,17 +186,13 @@ fn flight_recorder_steal_events_balance_the_steal_ledger() {
     let ingest = pool.ingest();
     pool.drain().expect("drain");
 
-    let flight = handle.flight();
-    let stolen_by_ring: u64 = flight
+    assert!(ingest.dropped > 0, "one-slot queues never overflowed: {ingest:?}");
+    assert_eq!(ingest.delivered + ingest.dropped, ingest.offered, "{ingest:?}");
+    let dropped_by_ring: u64 = handle
+        .flight()
         .iter()
-        .filter(|ev| ev.kind == FlightKind::Steal)
+        .filter(|ev| ev.kind == FlightKind::Drop)
         .map(|ev| detail_count(&ev.detail))
         .sum();
-    assert_eq!(stolen_by_ring, ingest.stolen_out, "steal ring diverges from the ledger");
-    let donated_by_ring: u64 = flight
-        .iter()
-        .filter(|ev| ev.kind == FlightKind::Donate)
-        .map(|ev| detail_count(&ev.detail))
-        .sum();
-    assert_eq!(donated_by_ring, ingest.stolen_in, "donate ring diverges from the ledger");
+    assert_eq!(dropped_by_ring, ingest.dropped, "drop ring diverges from the ledger");
 }

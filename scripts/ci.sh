@@ -50,11 +50,11 @@ cargo run --release -q -p flowtree-cli -- serve service --shards 2 --rate 1.0 \
 cargo run --release -q -p flowtree-cli -- report --trend "$SMOKE_STORE" >/dev/null
 rm -rf "$SMOKE_STORE"
 
-echo "==> serve control-plane smoke (hot-swap + stealing, balanced ledger)"
+echo "==> serve control-plane smoke (hot-swap under backpressure, balanced ledger)"
 SWAP_STORE=$(mktemp -d)
 SWAP_OUT=$(cargo run --release -q -p flowtree-cli -- serve service --shards 2 \
     --rate 2.0 --scheduler fifo -m 4 --jobs 48 --seed 11 --horizon 100000 \
-    --queue-cap 2 --swap-at 5:lpf --steal --steal-watermarks 0:2 \
+    --queue-cap 2 --swap-at 5:lpf \
     --store "$SWAP_STORE")
 # The drain table must show the applied swap on every shard, and the ingest
 # ledger must account for every offered job.
@@ -68,6 +68,14 @@ cargo run --release -q -p flowtree-cli -- report --trend "$SWAP_STORE" --plot \
     || { echo "serve smoke: trend plot missing"; exit 1; }
 rm -rf "$SWAP_STORE"
 
+echo "==> serve shedding smoke (drop policy on one-slot queues, balanced ledger)"
+# Dropped jobs must land in the ledger: delivered + dropped == offered.
+cargo run --release -q -p flowtree-cli -- serve service --shards 2 \
+    --rate 2.0 --scheduler fifo -m 4 --jobs 48 --seed 11 --horizon 100000 \
+    --queue-cap 1 --policy drop \
+    | grep -q 'ingest: .*(balanced)' \
+    || { echo "serve drop smoke: ingest ledger did not balance"; exit 1; }
+
 echo "==> telemetry smoke (mid-run scrape --check + flight recorder round-trip)"
 TEL_STORE=$(mktemp -d)
 TEL_ADDR=127.0.0.1:19187
@@ -78,8 +86,8 @@ cargo run --release -q -p flowtree-cli -- serve service --shards 2 --rate 2.0 \
 TEL_PID=$!
 # Poll the live endpoint until one *consistent* scrape lands mid-run:
 # `metrics --check` asserts the ingest ledger balances
-# (delivered + dropped + staged == offered, stolen_in == stolen_out) and
-# that latency summaries are populated. Early refused connections and
+# (delivered + dropped == offered) and that latency summaries are
+# populated. Early refused connections and
 # not-yet-populated summaries simply retry.
 SCRAPED=0
 for _ in $(seq 1 100); do
