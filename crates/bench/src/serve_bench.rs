@@ -19,8 +19,7 @@
 use crate::{document, BenchOpts, SEED};
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{
-    scrape_metrics, serve_metrics, ArrivalSource, OverloadPolicy, ReplaySource, Routing,
-    ServeConfig, ShardPool,
+    scrape_metrics, serve_metrics, OverloadPolicy, ReplaySource, Routing, ServeConfig, ShardPool,
 };
 use flowtree_sim::{Instance, JobSpec};
 use serde::Value;
@@ -204,7 +203,7 @@ fn timed_serve(inst: &Instance, cell: &ServeCell) -> Result<(f64, u64), String> 
     };
     let start = Instant::now();
     if cell.per_event {
-        while let Some(spec) = src.next_arrival() {
+        for spec in src {
             pool.offer(spec).map_err(|e| e.to_string())?;
         }
     } else {

@@ -14,7 +14,6 @@
 
 use crate::scenario::{parse_num, ScenarioOpts};
 use crate::serve::{build_config, build_source, finish, serve_flag, ServeOpts, SERVE_FLAG_USAGE};
-use flowtree_dag::Time;
 use flowtree_gateway::{ClientOptions, Gateway, GatewayClient, GatewayConfig, WireCodec};
 use flowtree_serve::{serve_metrics_with, MetricsExtra, ShardPool};
 use std::sync::Arc;
@@ -156,16 +155,10 @@ pub fn run_submit(args: &[String]) -> Result<(), String> {
 
     // Pump the source dry up front; the wire replay then preserves the
     // source's arrival order exactly, whatever the batch size.
-    let mut source = build_source(&o, &replay, rate)?;
-    let mut jobs = Vec::new();
-    let mut chunk = Vec::new();
-    while source.next_batch(usize::MAX, Time::MAX, &mut chunk) > 0 {
-        jobs.append(&mut chunk);
-    }
-    // `--skip`/`--take` slice the pumped trace so several `submit`
-    // processes can split one replay between them (each takes a
-    // contiguous, in-order span — the mixed-codec CI smoke uses this).
-    let jobs: Vec<_> = jobs.into_iter().skip(skip).take(take).collect();
+    // `--skip`/`--take` slice the trace so several `submit` processes can
+    // split one replay between them (each takes a contiguous, in-order
+    // span — the mixed-codec CI smoke uses this).
+    let jobs: Vec<_> = build_source(&o, &replay, rate)?.skip(skip).take(take).collect();
     if jobs.is_empty() {
         return Err("the arrival source produced no jobs".into());
     }

@@ -21,10 +21,11 @@ use flowtree_analysis::Table;
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::Time;
 use flowtree_serve::{
-    git_describe, run_id, serve_metrics, write_flight_jsonl, ArrivalSource, GeneratorSource,
-    IngestStats, OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing, ServeConfig,
-    ShardMetrics, ShardPool, ShardResult, StoreRecord,
+    git_describe, run_id, serve_metrics, write_flight_jsonl, GeneratorSource, IngestStats,
+    OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing, ServeConfig, ShardMetrics,
+    ShardPool, ShardResult, StoreRecord,
 };
+use flowtree_sim::JobSpec;
 use flowtree_workloads::mix::Scenario;
 
 /// Subcommand-specific options on top of [`ScenarioOpts`]. Shared with the
@@ -41,8 +42,6 @@ pub(crate) struct ServeOpts {
     pub(crate) run: Option<String>,
     pub(crate) horizon: u64,
     pub(crate) swap_at: Vec<String>,
-    pub(crate) ingest_batch: usize,
-    pub(crate) watermark_stride: Time,
     pub(crate) metrics_addr: Option<String>,
     pub(crate) flight: Option<String>,
 }
@@ -61,8 +60,6 @@ impl Default for ServeOpts {
             run: None,
             horizon: 100_000_000,
             swap_at: Vec::new(),
-            ingest_batch: 32,
-            watermark_stride: 0,
             metrics_addr: None,
             flight: None,
         }
@@ -75,7 +72,6 @@ pub(crate) const SERVE_FLAG_USAGE: &str =
     " [--shards N] [--rate R] [--queue-cap N] [--policy block|drop]\n\
      \u{20}        [--routing hash|least-loaded] [--replay FILE] [--stats-every N]\n\
      \u{20}        [--store DIR] [--run-id ID] [--horizon H] [--swap-at T:SPEC]\n\
-     \u{20}        [--ingest-batch N] [--watermark-stride T]\n\
      \u{20}        [--metrics-addr HOST:PORT] [--flight FILE]";
 
 /// Parse one serve-family flag into `s`; returns whether it was consumed.
@@ -96,8 +92,6 @@ pub(crate) fn serve_flag(
         "--store" => s.store = Some(it.next().ok_or("--store needs a directory")?.clone()),
         "--run-id" => s.run = Some(it.next().ok_or("--run-id needs an id")?.clone()),
         "--swap-at" => s.swap_at.push(it.next().ok_or("--swap-at needs T:SPEC")?.clone()),
-        "--ingest-batch" => s.ingest_batch = parse_num(it, "--ingest-batch")?,
-        "--watermark-stride" => s.watermark_stride = parse_num(it, "--watermark-stride")?,
         "--metrics-addr" => {
             s.metrics_addr = Some(it.next().ok_or("--metrics-addr needs HOST:PORT")?.clone())
         }
@@ -269,8 +263,6 @@ pub(crate) fn build_config(
         .policy(s.policy.parse::<OverloadPolicy>()?)
         .routing(s.routing.parse::<Routing>()?)
         .max_horizon(s.horizon)
-        .ingest_batch(s.ingest_batch)
-        .watermark_stride(s.watermark_stride)
         .build()?;
     Ok((cfg, swaps))
 }
@@ -281,13 +273,16 @@ pub(crate) fn build_source(
     o: &ScenarioOpts,
     replay: &Option<String>,
     rate: f64,
-) -> Result<Box<dyn ArrivalSource>, String> {
+) -> Result<Box<dyn Iterator<Item = JobSpec>>, String> {
     Ok(match replay {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             Box::new(ReplaySource::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => {
+            if rate.is_nan() || rate <= 0.0 {
+                return Err(format!("--rate must be a positive number, got {rate}"));
+            }
             let scenario = Scenario::presets(o.jobs)
                 .into_iter()
                 .find(|sc| sc.name == o.scenario)
@@ -559,5 +554,20 @@ mod tests {
         let zero = ServeOpts { shards: 0, ..ServeOpts::default() };
         let err = serve(&opts("service"), &zero, &mut |_| {}).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
+        for removed in [["service", "--ingest-batch", "8"], ["service", "--watermark-stride", "4"]]
+        {
+            let args: Vec<String> = removed.iter().map(|a| a.to_string()).collect();
+            let err = run(&args).unwrap_err();
+            assert!(err.contains("unknown serve option"), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_rates_are_refused_by_name() {
+        for rate in [0.0, -1.0, f64::NAN] {
+            let err = build_source(&opts("service"), &None, rate).err().expect("refused");
+            assert!(err.contains("--rate"), "{rate}: {err}");
+        }
+        assert!(build_source(&opts("service"), &None, 0.5).is_ok());
     }
 }

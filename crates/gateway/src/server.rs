@@ -274,10 +274,9 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Jobs staged from not-yet-acknowledged submit frames of the open
-    /// group, and each staged frame's job count (so a group can split on
-    /// a frame boundary when the pool only has room for a prefix).
+    /// group, and how many frames staged them.
     pending: Vec<JobSpec>,
-    pending_lens: Vec<usize>,
+    pending_frames: u64,
     /// Flush remaining writes, then close cleanly (drain, fatal reject).
     close_after_flush: bool,
     dead: bool,
@@ -301,7 +300,7 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             pending: Vec::new(),
-            pending_lens: Vec::new(),
+            pending_frames: 0,
             close_after_flush: false,
             dead: false,
         })
@@ -543,9 +542,9 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
 
     // The hot path: stage submit frames straight into the open group.
     match decode_submit_into(&conn.rbuf[start..end], &mut conn.pending) {
-        Ok(Some(jobs)) => {
-            conn.pending_lens.push(jobs);
-            if conn.pending_lens.len() as u64 >= conn.window {
+        Ok(Some(_)) => {
+            conn.pending_frames += 1;
+            if conn.pending_frames >= conn.window {
                 flush_group(conn, ctx);
             }
             return;
@@ -666,73 +665,35 @@ fn hello(
 }
 
 /// Close the connection's open submit group: one room check, one pool
-/// offer, one cumulative reply per outcome. A *frame* is all-or-nothing
-/// (partial ingest of a frame would make its ledger delta ambiguous), but
-/// the group may split on a frame boundary: under the blocking policy the
-/// longest prefix of whole frames that fits the router's free room is
-/// offered and acknowledged cumulatively, and only the remaining tail is
-/// refused with one [`Reply::Busy`]. Replies are queued in frame order
-/// (ack before busy), so a FIFO client settles the oldest frames first —
-/// and a pipelined window larger than the pool's free room still makes
-/// progress instead of bouncing whole.
+/// offer, one reply. The group is all-or-nothing, so its ledger delta is
+/// never ambiguous. Under the blocking policy it is offered only if every
+/// shard queue has a free slot: one offer sends at most one admit command
+/// per shard, so it then cannot stall the worker. Otherwise the whole group
+/// is refused with one [`Reply::Busy`] before it touches any ledger
+/// counter, and the client resends it.
 fn flush_group(conn: &mut Conn, ctx: &mut WorkerCtx<'_>) {
-    let total_frames = conn.pending_lens.len();
-    if total_frames == 0 {
+    let frames = conn.pending_frames;
+    if frames == 0 {
         return;
     }
-    let pool = ctx.handle.config();
-    // Only the blocking policy can stall the router; map that stall onto
-    // the wire as Busy *before* offering, so a refused frame touches no
-    // ledger counter.
-    let gated = pool.policy == OverloadPolicy::Block;
-    let (admit_frames, admit_jobs) = if gated {
-        let room = ctx.handle.ingress_room();
-        let mut jobs = 0usize;
-        let mut frames = 0usize;
-        for &len in &conn.pending_lens {
-            if jobs + len > room {
-                break;
-            }
-            jobs += len;
-            frames += 1;
-        }
-        (frames, jobs)
-    } else {
-        (total_frames, conn.pending.len())
-    };
-    let busy_frames = (total_frames - admit_frames) as u64;
-    if busy_frames > 0 {
-        // The refused tail is the client's to resend; drop it before the
-        // offer so the pool only ever sees the admitted prefix.
-        let refused = conn.pending.len() - admit_jobs;
+    let gated = ctx.handle.config().policy == OverloadPolicy::Block;
+    if gated && !ctx.handle.has_batch_room() {
         ctx.stats.busy_replies.fetch_add(1, Ordering::SeqCst);
-        let t = conn.pending.get(admit_jobs).map(|j| j.release).unwrap_or(0);
-        let detail = format!("{} batch of {refused}", conn.peer);
+        let t = conn.pending.first().map(|j| j.release).unwrap_or(0);
+        let detail = format!("{} batch of {}", conn.peer, conn.pending.len());
         let _ = ctx.handle.record_flight(0, FlightKind::Busy, t, detail);
-        conn.pending.truncate(admit_jobs);
-    }
-    if admit_frames > 0 {
+        ctx.queue_reply(conn, &Reply::Busy { retry_after_ms: ctx.cfg.retry_after_ms, frames });
+    } else {
+        let jobs = conn.pending.len() as u64;
         match ctx.handle.offer_batch_stamped(&mut conn.pending, ctx.handle.now_us()) {
             Ok(delta) => {
-                ctx.stats.remote_jobs.fetch_add(admit_jobs as u64, Ordering::SeqCst);
+                ctx.stats.remote_jobs.fetch_add(jobs, Ordering::SeqCst);
                 conn.seq += 1;
-                ctx.queue_reply(
-                    conn,
-                    &Reply::Ack { seq: conn.seq, delta, frames: admit_frames as u64 },
-                );
+                ctx.queue_reply(conn, &Reply::Ack { seq: conn.seq, delta, frames });
             }
-            Err(e) => {
-                conn.pending.clear();
-                ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) });
-            }
+            Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
         }
     }
-    if busy_frames > 0 {
-        ctx.queue_reply(
-            conn,
-            &Reply::Busy { retry_after_ms: ctx.cfg.retry_after_ms, frames: busy_frames },
-        );
-    }
     conn.pending.clear();
-    conn.pending_lens.clear();
+    conn.pending_frames = 0;
 }

@@ -8,11 +8,13 @@
 //! * a client that loses its connection resumes on a fresh one.
 
 use flowtree_core::SchedulerSpec;
+use flowtree_dag::builder::chain;
+use flowtree_dag::Time;
 use flowtree_gateway::{
     ClientError, ClientOptions, Gateway, GatewayClient, GatewayConfig, SubmitOutcome, WireCodec,
 };
 use flowtree_serve::{FlightKind, OverloadPolicy, ServeConfig, ShardPool, StoreRecord};
-use flowtree_sim::Instance;
+use flowtree_sim::{Instance, JobSpec};
 use flowtree_workloads::mix::Scenario;
 
 fn spec(name: &str) -> SchedulerSpec {
@@ -212,29 +214,72 @@ fn interleaved_clients_lose_no_job_and_balance_the_ledger() {
     assert_eq!(admitted, submitted, "no job may be lost across interleaved clients");
 }
 
-#[test]
-fn full_blocking_pool_answers_busy_without_touching_the_ledger() {
-    // One shard, queue of 1: a 3-job batch cannot fit, and under the
-    // blocking policy the gateway must shed it as Busy up front.
-    let cfg = ServeConfig::builder(spec("fifo"), 2)
+fn one_slot_blocking_config() -> ServeConfig {
+    ServeConfig::builder(spec("fifo"), 2)
         .scenario("gateway-busy")
         .queue_cap(1)
         .policy(OverloadPolicy::Block)
         .build()
-        .expect("valid config");
-    let pool = ShardPool::launch(cfg).expect("launch");
+        .expect("valid config")
+}
+
+#[test]
+fn idle_one_slot_blocking_pool_acks_a_multi_job_frame() {
+    // One offer sends at most one admit command per shard, so an idle
+    // one-slot queue has room for a frame of any size.
+    let pool = ShardPool::launch(one_slot_blocking_config()).expect("launch");
+    let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+        .expect("gateway up");
+    let mut client =
+        GatewayClient::with_name(&gw.addr().to_string(), "idle-test").expect("connect");
+    let jobs = service_instance(3, 5).jobs().to_vec();
+    match client.submit_batch(jobs).expect("exchange") {
+        SubmitOutcome::Accepted { delta, .. } => assert_eq!(delta.delivered, 3),
+        other => panic!("expected an ack from an idle pool, got {other:?}"),
+    }
+    assert_eq!(gw.stats().busy_replies.load(std::sync::atomic::Ordering::SeqCst), 0);
+    gw.shutdown();
+    let results = pool.drain().expect("drain");
+    assert_eq!(results[0].summary.jobs, 3);
+}
+
+#[test]
+fn full_blocking_pool_answers_busy_without_touching_the_ledger() {
+    // One shard, queue of 1. A long chain with the frontier far ahead keeps
+    // the worker simulating while one more admit takes the only slot, so
+    // the queue is really full and under the blocking policy the gateway
+    // must shed the next frame as Busy up front. The worker may catch up
+    // between the fill and the submit; then the frame is acked and the
+    // test fills the queue again.
+    const CHAIN: usize = 100_000;
+    const FAR: Time = 2 * CHAIN as Time;
+    let pool = ShardPool::launch(one_slot_blocking_config()).expect("launch");
     let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
         .expect("gateway up");
     let mut client =
         GatewayClient::with_name(&gw.addr().to_string(), "busy-test").expect("connect");
 
-    let before = pool.ingest();
     let jobs = service_instance(3, 5).jobs().to_vec();
-    match client.submit_batch(jobs).expect("exchange") {
-        SubmitOutcome::Busy { retry_after_ms } => assert!(retry_after_ms > 0),
-        other => panic!("expected Busy from a full blocking pool, got {other:?}"),
+    let mut frontier: Time = 0;
+    for attempt in 1.. {
+        assert!(attempt <= 20, "the one-slot queue was never observed full");
+        pool.offer(JobSpec { graph: chain(CHAIN), release: frontier })
+            .expect("long chain");
+        frontier += FAR;
+        for _ in 0..2 {
+            // The first runs the worker far ahead; the second fills the slot.
+            pool.offer(JobSpec { graph: chain(1), release: frontier }).expect("offer");
+        }
+        let before = pool.ingest();
+        match client.submit_batch(jobs.clone()).expect("exchange") {
+            SubmitOutcome::Busy { retry_after_ms } => {
+                assert!(retry_after_ms > 0);
+                assert_eq!(pool.ingest(), before, "a refused batch must not touch the ledger");
+                break;
+            }
+            SubmitOutcome::Accepted { .. } => {}
+        }
     }
-    assert_eq!(pool.ingest(), before, "a refused batch must not touch the ledger");
     assert_eq!(gw.stats().busy_replies.load(std::sync::atomic::Ordering::SeqCst), 1);
 
     // The shed is visible on the network edge of the flight recorder,

@@ -1,18 +1,17 @@
 //! # flowtree-serve — sharded online simulation service
 //!
-//! Everything else in the workspace simulates a *known* [`Instance`]
-//! (flowtree_sim::Instance) from `t = 0`; this crate runs the simulator as
-//! a *service*: arrivals stream in asynchronously, get routed across a pool
-//! of engine shards, and every drained shard persists its certified
-//! [`RunSummary`](flowtree_analysis::RunSummary) into an append-only results
-//! store that the CLI can trend across runs.
+//! Everything else in the workspace simulates a *known*
+//! [`Instance`](flowtree_sim::Instance) from `t = 0`; this crate runs the
+//! simulator as a *service*: arrivals stream in asynchronously, get routed
+//! across a pool of engine shards, and every drained shard persists its
+//! certified [`RunSummary`](flowtree_analysis::RunSummary) into an
+//! append-only results store that the CLI can trend across runs.
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`source`] — where arrivals come from: replayed traces
-//!   ([`ReplaySource`]), lazily sampled workload scenarios
-//!   ([`GeneratorSource`]), or an external thread feeding a channel
-//!   ([`ChannelSource`]).
+//! * [`source`] — where arrivals come from: plain
+//!   `Iterator<Item = JobSpec>`s over replayed traces ([`ReplaySource`]) or
+//!   lazily sampled workload scenarios ([`GeneratorSource`]).
 //! * [`shard`] — one worker thread per shard driving a streaming
 //!   [`Session`](flowtree_sim::Session) with the live monitor stack
 //!   (`LowerBound` + `InvariantMonitor` + `RunHistograms`) attached as a
@@ -23,7 +22,10 @@
 //!   watermark**: a shard simulates step `t` only once it knows no arrival
 //!   with release `<= t` can still reach it, so a one-shard pool reproduces
 //!   the batch engine's `RunReport` bit for bit (pinned by the differential
-//!   tests). A **control plane** rides on the same channels
+//!   tests). Ingest has one batching rule: every offer is one batch, its
+//!   same-shard arrivals coalesce into one command, and the exact frontier
+//!   is broadcast after it; [`PoolHandle::run_source`] cuts an iterator
+//!   into batches of 32. A **control plane** rides on the same channels
 //!   ([`ShardCmd`](shard::ShardCmd)): runtime operations — offer, live
 //!   scheduler hot-swap ([`PoolHandle::swap`]), synchronous quiesce,
 //!   snapshots, drain requests — go through a cloneable [`PoolHandle`], and
@@ -57,7 +59,7 @@ pub use pool::{
     ServeConfigBuilder, ServeError, ShardPool,
 };
 pub use shard::{Arrival, ShardResult, ShardSnapshot, SwapEvent};
-pub use source::{channel_source, ArrivalSource, ChannelSource, GeneratorSource, ReplaySource};
+pub use source::{GeneratorSource, ReplaySource};
 pub use store::{
     gc_store, git_describe, load_records, ls_store, prune_history, run_id, GcFileReport, GcReport,
     LsFileReport, LsReport, PruneLimits, PruneReport, ResultsStore, StoreRecord, HISTORY_FILE,

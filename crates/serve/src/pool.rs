@@ -9,21 +9,15 @@
 //! ([`Routing`]); same-shard placements then coalesce into one
 //! [`ShardCmd::Admit`] (one queue slot, one channel op), delivered under
 //! the configured [`OverloadPolicy`], and event time is flushed at the
-//! batch boundary. [`PoolHandle::offer`] is a batch of one. Sources feed
-//! batches through [`PoolHandle::run_source`] via
-//! [`ArrivalSource::next_batch`], bounded by
-//! [`ServeConfig::ingest_batch`] jobs and a release-span flush rule tied to
-//! [`ServeConfig::watermark_stride`], so batching never changes event-time
-//! semantics — only how many channel ops they cost.
+//! end of every offer. [`PoolHandle::offer`] is a batch of one, and
+//! [`PoolHandle::run_source`] pumps any `Iterator<Item = JobSpec>` in fixed
+//! chunks of 32 arrivals. Batching changes only how many channel ops an
+//! arrival costs, never what a shard computes.
 //!
-//! Event time propagates to the other shards as *watermarks*, amortized two
-//! ways: the router remembers the highest watermark each shard is known to
-//! have (never re-sending a value that cannot advance it), and
-//! [`ServeConfig::watermark_stride`] suppresses per-arrival broadcasts
-//! until the frontier has advanced at least that far. Batch boundaries,
-//! [`quiesce`](PoolHandle::quiesce), and drain always flush regardless, so
-//! a shard's safe time lags the frontier by less than one stride while
-//! arrivals flow, and not at all at synchronization points. Broadcasts use
+//! Event time propagates to the other shards as *watermarks*: after every
+//! offer the router sends the exact frontier to each shard that may not
+//! have it yet, remembering the highest watermark each shard is known to
+//! have so it never re-sends a value that cannot advance it. Broadcasts use
 //! `try_send` and skip full queues (counted in [`IngestStats::wm_skipped`],
 //! surfaced in the CLI drain table): a full queue already holds a command
 //! whose eventual processing advances that shard at least as far, so
@@ -46,7 +40,6 @@ use flowtree_sim::JobSpec;
 use crate::shard::{
     run_shard, Arrival, ShardCmd, ShardCtx, ShardResult, ShardSnapshot, SwapDirective,
 };
-use crate::source::ArrivalSource;
 use crate::telemetry::{FlightEvent, FlightKind, MetricsSnapshot, Telemetry};
 
 /// Everything that can go wrong launching or driving a pool.
@@ -171,6 +164,10 @@ impl std::fmt::Display for Routing {
     }
 }
 
+/// Most arrivals [`PoolHandle::run_source`] hands to one
+/// [`offer_batch`](PoolHandle::offer_batch).
+const INGEST_BATCH: usize = 32;
+
 /// Configuration of a [`ShardPool`]. Build one with
 /// [`ServeConfig::builder`] (validated) or [`ServeConfig::new`] (the
 /// always-valid single-shard default).
@@ -193,18 +190,6 @@ pub struct ServeConfig {
     /// Safety horizon per shard (a stalling scheduler errors out instead of
     /// spinning forever).
     pub max_horizon: Time,
-    /// Most arrivals one ingest batch may carry
-    /// ([`run_source`](PoolHandle::run_source) /
-    /// [`offer_batch`](PoolHandle::offer_batch)); 1 degenerates to
-    /// per-event ingest.
-    pub ingest_batch: usize,
-    /// Watermark granularity. While arrivals flow, a shard is only told
-    /// about frontier advances of at least this much (0 = every advance);
-    /// the same value bounds how much event time one ingest batch may span.
-    /// Batch boundaries, quiesce, and drain flush the exact frontier
-    /// regardless, and watermarks never affect final results — only how
-    /// eagerly shards may simulate ahead.
-    pub watermark_stride: Time,
     /// Capacity of each shard's control-plane flight ring (structured
     /// swap/watermark/overload events kept for diagnosis; oldest evicted when
     /// full).
@@ -224,8 +209,6 @@ impl ServeConfig {
             policy: OverloadPolicy::Block,
             routing: Routing::Hash,
             max_horizon: 100_000_000,
-            ingest_batch: 32,
-            watermark_stride: 0,
             flight_capacity: 256,
         }
     }
@@ -244,11 +227,6 @@ impl ServeConfig {
         }
         if self.queue_cap < 1 {
             return Err(ServeError::InvalidConfig("queues must hold at least one command".into()));
-        }
-        if self.ingest_batch < 1 {
-            return Err(ServeError::InvalidConfig(
-                "ingest batches must carry at least one arrival".into(),
-            ));
         }
         if self.flight_capacity < 1 {
             return Err(ServeError::InvalidConfig(
@@ -306,18 +284,6 @@ impl ServeConfigBuilder {
     /// Per-shard safety horizon.
     pub fn max_horizon(mut self, horizon: Time) -> Self {
         self.cfg.max_horizon = horizon;
-        self
-    }
-
-    /// Most arrivals one ingest batch may carry (1 = per-event ingest).
-    pub fn ingest_batch(mut self, max: usize) -> Self {
-        self.cfg.ingest_batch = max;
-        self
-    }
-
-    /// Watermark granularity (see [`ServeConfig::watermark_stride`]).
-    pub fn watermark_stride(mut self, stride: Time) -> Self {
-        self.cfg.watermark_stride = stride;
         self
     }
 
@@ -539,19 +505,11 @@ impl PoolHandle {
         Ok(())
     }
 
-    /// Send frontier watermarks to shards that need them. `force` flushes
-    /// every advance (batch boundaries, quiesce); otherwise
-    /// [`ServeConfig::watermark_stride`] suppresses a broadcast until the
-    /// frontier has advanced at least one stride past what the shard is
-    /// known to have seen.
-    fn broadcast_frontier(&self, r: &mut Router, force: bool) {
+    /// Send the exact frontier to every shard not known to have it yet.
+    fn broadcast_frontier(&self, r: &mut Router) {
         let w = r.last_release;
-        let stride = self.core.cfg.watermark_stride;
         for (i, tx) in self.core.txs.iter().enumerate() {
             if w <= r.wm_known[i] {
-                continue;
-            }
-            if !force && w < r.wm_known[i].saturating_add(stride) {
                 continue;
             }
             match tx.try_send(ShardCmd::Watermark(w)) {
@@ -593,13 +551,12 @@ impl PoolHandle {
     /// Route one arrival: a batch of one. A release earlier than the last
     /// offered one is clamped forward (counted in
     /// [`IngestStats::reordered`]) so shard sessions always see admissible
-    /// order. Unlike a batch, a single offer leaves the frontier to the
-    /// [`ServeConfig::watermark_stride`] rule.
+    /// order.
     pub fn offer(&self, spec: JobSpec) -> Result<(), ServeError> {
         let offered_us = self.core.tel.now_us();
         let r = &mut *self.router();
         self.deliver(r, std::iter::once(spec), offered_us)?;
-        self.broadcast_frontier(r, false);
+        self.broadcast_frontier(r);
         Ok(())
     }
 
@@ -630,7 +587,7 @@ impl PoolHandle {
         let r = &mut *self.router();
         let before = r.ingest;
         self.deliver(r, specs.drain(..), offered_us)?;
-        self.broadcast_frontier(r, true);
+        self.broadcast_frontier(r);
         Ok(r.ingest.delta_since(&before))
     }
 
@@ -643,18 +600,24 @@ impl PoolHandle {
         self.core.tel.now_us()
     }
 
-    /// Free admission slots across every shard queue right now. An
-    /// approximation for backpressure decisions — queues also hold
-    /// control-plane commands and other clients race for the same room —
-    /// but a conservative front door can turn "not enough room for this
-    /// batch" into a retry-later reply instead of blocking a connection
-    /// handler inside [`offer_batch`](Self::offer_batch).
+    /// Free command slots summed over every shard queue right now. A slot
+    /// holds a whole admit command, not one job.
     pub fn ingress_room(&self) -> usize {
         self.core
             .txs
             .iter()
             .map(|tx| self.core.cfg.queue_cap.saturating_sub(tx.len()))
             .sum()
+    }
+
+    /// Whether every shard queue has a free slot right now. One
+    /// [`offer_batch`](Self::offer_batch) sends at most one admit command
+    /// per shard, so under [`OverloadPolicy::Block`] it then does not wait,
+    /// unless another producer takes the slot first. A front door uses this
+    /// to turn a full pool into a retry-later reply instead of blocking a
+    /// connection handler.
+    pub fn has_batch_room(&self) -> bool {
+        self.core.txs.iter().all(|tx| tx.len() < self.core.cfg.queue_cap)
     }
 
     /// Advance the event-time frontier to `t` without offering a job, as if
@@ -670,7 +633,7 @@ impl PoolHandle {
         let before = r.ingest;
         if t > r.last_release {
             r.last_release = t;
-            self.broadcast_frontier(r, true);
+            self.broadcast_frontier(r);
         }
         Ok(r.ingest.delta_since(&before))
     }
@@ -702,21 +665,24 @@ impl PoolHandle {
         Ok(())
     }
 
-    /// Pump `source` dry in ingest batches (bounded by
-    /// [`ServeConfig::ingest_batch`] and the stride-sized release span),
-    /// calling `progress` with a fresh snapshot roughly every `every`
-    /// arrivals (0 disables). Returns the number of arrivals offered.
+    /// Pump `source` dry through [`offer_batch`](Self::offer_batch) in
+    /// chunks of up to 32 arrivals, calling `progress` with a fresh
+    /// snapshot roughly every `every` arrivals (0 disables). Returns the
+    /// number of arrivals offered.
     pub fn run_source_with(
         &self,
-        source: &mut dyn ArrivalSource,
+        source: &mut dyn Iterator<Item = JobSpec>,
         every: u64,
         progress: &mut dyn FnMut(&PoolSnapshot),
     ) -> Result<u64, ServeError> {
-        let (max, span) = (self.core.cfg.ingest_batch, self.core.cfg.watermark_stride);
-        let mut batch = Vec::with_capacity(max);
+        let mut batch = Vec::with_capacity(INGEST_BATCH);
         let mut n = 0u64;
         let mut next_beat = every;
-        while source.next_batch(max, span, &mut batch) > 0 {
+        loop {
+            batch.extend((&mut *source).take(INGEST_BATCH));
+            if batch.is_empty() {
+                return Ok(n);
+            }
             n += batch.len() as u64;
             self.offer_batch(&mut batch)?;
             if every > 0 && n >= next_beat {
@@ -726,11 +692,10 @@ impl PoolHandle {
                 }
             }
         }
-        Ok(n)
     }
 
     /// Pump `source` dry without progress reporting.
-    pub fn run_source(&self, source: &mut dyn ArrivalSource) -> Result<u64, ServeError> {
+    pub fn run_source(&self, source: &mut dyn Iterator<Item = JobSpec>) -> Result<u64, ServeError> {
         self.run_source_with(source, 0, &mut |_| {})
     }
 
@@ -789,8 +754,9 @@ impl PoolHandle {
     /// shard order.
     pub fn quiesce(&self) -> Result<Vec<ShardSnapshot>, ServeError> {
         {
-            // Flush the exact frontier first: a shard must not settle short
-            // of event time just because strided broadcasts lagged behind.
+            // Flush the exact frontier first, blocking: a shard must not
+            // settle short of event time because a broadcast skipped its
+            // full queue.
             let r = &mut *self.router();
             let w = r.last_release;
             for (i, tx) in self.core.txs.iter().enumerate() {
@@ -852,7 +818,7 @@ impl PoolHandle {
 /// A running pool of engine shards consuming an arrival stream.
 ///
 /// Feed it with [`offer`](Self::offer) (or [`run_source`](Self::run_source)
-/// to pump an [`ArrivalSource`] dry), watch it with
+/// to pump an arrival iterator dry), watch it with
 /// [`snapshot`](Self::snapshot), control it through a cloned
 /// [`handle`](Self::handle), and finish with [`drain`](Self::drain), which
 /// returns one [`ShardResult`] per shard.
@@ -933,7 +899,7 @@ impl ShardPool {
     /// [`PoolHandle::run_source_with`]).
     pub fn run_source_with(
         &self,
-        source: &mut dyn ArrivalSource,
+        source: &mut dyn Iterator<Item = JobSpec>,
         every: u64,
         progress: &mut dyn FnMut(&PoolSnapshot),
     ) -> Result<u64, ServeError> {
@@ -941,7 +907,7 @@ impl ShardPool {
     }
 
     /// Pump `source` dry (see [`PoolHandle::run_source`]).
-    pub fn run_source(&self, source: &mut dyn ArrivalSource) -> Result<u64, ServeError> {
+    pub fn run_source(&self, source: &mut dyn Iterator<Item = JobSpec>) -> Result<u64, ServeError> {
         self.handle.run_source(source)
     }
 

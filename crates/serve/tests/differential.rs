@@ -13,8 +13,8 @@ use flowtree_analysis::summarize;
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::builder::chain;
 use flowtree_serve::{
-    channel_source, GeneratorSource, OverloadPolicy, ReplaySource, ResultsStore, Routing,
-    ServeConfig, ShardPool, StoreRecord,
+    GeneratorSource, OverloadPolicy, ReplaySource, ResultsStore, Routing, ServeConfig, ShardPool,
+    StoreRecord,
 };
 use flowtree_sim::{Engine, JobSpec};
 use flowtree_workloads::mix::Scenario;
@@ -187,8 +187,9 @@ fn drop_newest_accounts_for_every_offered_job() {
 }
 
 #[test]
-fn channel_source_serves_an_external_producer_to_drain() {
-    let (tx, mut src) = channel_source();
+fn channel_iterator_serves_an_external_producer_to_drain() {
+    // Any iterator is a source: here a channel fed by another thread.
+    let (tx, rx) = std::sync::mpsc::channel();
     let producer = std::thread::spawn(move || {
         for t in 0..10u64 {
             tx.send(JobSpec { graph: chain(3), release: t })
@@ -202,7 +203,7 @@ fn channel_source_serves_an_external_producer_to_drain() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let n = pool.run_source(&mut src).expect("stream");
+    let n = pool.run_source(&mut rx.iter()).expect("stream");
     producer.join().expect("producer thread");
     assert_eq!(n, 10);
     let results = pool.drain().expect("drain");

@@ -3,7 +3,7 @@
 //!
 //! An `s`-speed processor completes `s` unit subjobs per time step, possibly
 //! in sequence (so a chain shortens by a factor of `s` too). Prior work
-//! ([4] in the paper) proves FIFO is `(1+ε)`-speed O(1)-competitive for
+//! (\[4\] in the paper) proves FIFO is `(1+ε)`-speed O(1)-competitive for
 //! maximum flow; the paper's Section 4 shows that at speed 1 FIFO is
 //! Ω(log m) — augmentation "assumes away the existence of the hard
 //! instances where the optimal schedule is tightly packed".

@@ -9,6 +9,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (flowtree* packages, broken intra-doc links are errors)"
+# Only the workspace's own crates: vendor/ stand-ins are not held to this.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --offline --no-deps -p 'flowtree*'
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
