@@ -20,8 +20,9 @@
 //!   balances across all clients combined; a [`Reply::Busy`] batch was
 //!   never offered, so it perturbs no counter.
 //! * **No panic from bytes** — malformed frames (truncated, oversized,
-//!   non-JSON, unknown tag) are answered with a typed
-//!   [`Reply::Reject`] or a clean close; they never reach a shard.
+//!   non-JSON, nested past `serde_json::MAX_DEPTH`, unknown tag) are
+//!   answered with a typed [`Reply::Reject`] or a clean close; they never
+//!   reach a shard, and a refused batch offers none of its jobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

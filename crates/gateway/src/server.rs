@@ -28,8 +28,8 @@
 //! `report --flight` shows the network edge next to swaps and drops.
 
 use crate::wire::{
-    decode_request, decode_submit_into, encode_reply_into, frame_len, push_frame, Reply, Request,
-    WireCodec, HEADER_LEN, MAX_FRAME, PROTOCOL_VERSION,
+    decode, decode_request, encode_reply_into, frame_len, push_frame, read_request, HotRequest,
+    Reply, Request, WireCodec, HEADER_LEN, MAX_FRAME, PROTOCOL_VERSION,
 };
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{FlightKind, OverloadPolicy, PoolHandle};
@@ -540,30 +540,25 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
         return;
     }
 
-    // The hot path: stage submit frames straight into the open group.
-    match decode_submit_into(&conn.rbuf[start..end], &mut conn.pending) {
-        Ok(Some(_)) => {
+    // The hot path: one read stages a submit straight into the open group
+    // or yields a watermark; only control frames reach the Value path.
+    let req = match read_request(&conn.rbuf[start..end], &mut conn.pending) {
+        Ok(HotRequest::Staged { .. }) => {
             conn.pending_frames += 1;
             if conn.pending_frames >= conn.window {
                 flush_group(conn, ctx);
             }
             return;
         }
-        Ok(None) => {}
-        Err(e) => {
-            // Framing held, so the stream is still in sync: close the open
-            // group, reject the message, keep serving the connection.
-            flush_group(conn, ctx);
-            ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-            ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
-            return;
-        }
-    }
-
-    // A control frame closes the open group first so replies stay in
-    // request order.
+        Ok(HotRequest::Watermark(t)) => Ok(Request::Watermark { t }),
+        Ok(HotRequest::Other) => decode(&conn.rbuf[start..end]),
+        Err(e) => Err(e),
+    };
+    // Any other frame closes the open group first so replies stay in
+    // request order. Framing held, so after a bad request the stream is
+    // still in sync: reject the message, keep serving the connection.
     flush_group(conn, ctx);
-    let req = match decode_request(&conn.rbuf[start..end]) {
+    let req = match req {
         Ok(r) => r,
         Err(e) => {
             ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
@@ -576,7 +571,7 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
             hello(conn, ctx, proto, client, codec, window)
         }
         Request::Submit { .. } | Request::SubmitBatch { .. } => {
-            unreachable!("submit frames are staged above")
+            unreachable!("read_request stages every submit frame")
         }
         Request::Watermark { t } => match ctx.handle.advance_frontier(t) {
             Ok(delta) => {

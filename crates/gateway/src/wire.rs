@@ -16,6 +16,12 @@
 //! JSON. Decoders sniff the marker per frame — negotiation governs what a
 //! peer *sends*, never what it accepts.
 //!
+//! Each hot message has one writer and one reader per codec. Under JSON
+//! the writers print the bytes directly and the reader parses them directly,
+//! with no [`Value`] tree in between; the `Value`-tree impls of [`Request`]
+//! and [`Reply`] serve the control messages and are the oracle the direct
+//! reader is tested against.
+//!
 //! Error surfaces are deliberately split: [`FrameError`] is about the byte
 //! stream (truncation, an oversized length prefix, socket errors) and
 //! usually ends the connection, while a payload that frames correctly but
@@ -26,6 +32,8 @@ use flowtree_dag::{GraphBuilder, NodeId, Time};
 use flowtree_serve::IngestStats;
 use flowtree_sim::JobSpec;
 use serde::Value;
+use serde_json::MAX_DEPTH;
+use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Wire protocol version carried in [`Request::Hello`]; the gateway refuses
@@ -221,9 +229,13 @@ pub fn encode<T: serde::Serialize>(msg: &T) -> Vec<u8> {
 /// Parse a JSON frame payload into a wire message. The error string is
 /// safe to echo back in a [`Reply::Reject`].
 pub fn decode<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
+    serde_json::from_str(utf8(payload)?).map_err(|e| e.to_string())
+}
+
+/// A JSON payload as text, refused with the reject text every codec path
+/// shares.
+fn utf8(payload: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_string())
 }
 
 /// A client→gateway message.
@@ -505,10 +517,11 @@ impl serde::Deserialize for Reply {
     }
 }
 
-// --------------------------------------------------------- JSON (fast path)
+// ---------------------------------------------------- JSON (direct writers)
 //
 // Hand-written writers for the hot messages, emitting the exact bytes the
-// Value-tree path produces (pinned by `fast_json_matches_value_tree`) —
+// Value-tree path produces (pinned by
+// `fast_json_matches_value_tree_byte_for_byte`) —
 // but with zero intermediate allocation: no Value tree, no per-field key
 // `String`s, no `to_string` per number. Tags are borrowed `&'static str`s
 // and everything lands in the caller's reused buffer.
@@ -573,6 +586,574 @@ fn push_delta_json(out: &mut Vec<u8>, d: &IngestStats) {
     out.extend_from_slice(b",\"wm_skipped\":");
     push_u64(out, d.wm_skipped);
     out.push(b'}');
+}
+
+// ------------------------------------------------------ JSON (direct reader)
+//
+// The reading twin of the writers above: the hot messages are parsed
+// straight from the payload bytes. It keeps the Value path's rules exactly
+// (pinned by the oracle proptest in `tests/wire_malformed.rs`): keys in any
+// order, unknown fields skipped after a syntax check, the first of
+// duplicate keys wins, a field the tag does not use is never decoded, and
+// nesting deeper than `serde_json::MAX_DEPTH` is an error. A frame that is
+// not a hot message goes to the Value path whole.
+
+// The skipper keeps one bit per open container.
+const _: () = assert!(MAX_DEPTH <= 128);
+
+/// Cursor over a JSON payload that has already passed the UTF-8 check.
+/// Keys and strings without a backslash are borrowed; every read is
+/// bounds-checked, so hostile bytes surface as `Err(String)`.
+struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    fn at(text: &'a str, pos: usize) -> Self {
+        JsonReader { text, pos }
+    }
+
+    fn err(&self, msg: &str) -> String {
+        format!("{msg} at byte {}", self.pos)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    /// What the value at the cursor is, for type-mismatch errors.
+    fn kind(&self) -> &'static str {
+        match self.peek() {
+            Some(b'"') => "string",
+            Some(b'[') => "array",
+            Some(b'{') => "object",
+            Some(b't' | b'f') => "bool",
+            Some(b'n') => "null",
+            Some(b'-' | b'0'..=b'9') => "number",
+            _ => "no value",
+        }
+    }
+
+    /// Step into the container `open` (`{` or `[`) at the cursor.
+    fn open(&mut self, open: u8, what: &str) -> Result<(), String> {
+        if self.peek() != Some(open) {
+            return Err(format!("expected {what}, got {}", self.kind()));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The next member of the object being read: its key, with the cursor
+    /// on its value, or `None` past the closing brace. `first` is true
+    /// right after the `{`.
+    fn member(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(first, b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.ws();
+        self.expect(b':')?;
+        self.ws();
+        Ok(Some(key))
+    }
+
+    /// Whether the array being read has another element (cursor on it).
+    fn element(&mut self, first: &mut bool) -> Result<bool, String> {
+        self.more(first, b']', "expected ',' or ']' in array")
+    }
+
+    fn more(&mut self, first: &mut bool, close: u8, msg: &str) -> Result<bool, String> {
+        self.ws();
+        if std::mem::take(first) {
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                return Ok(false);
+            }
+        } else {
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(false);
+                }
+                _ => return Err(self.err(msg)),
+            }
+        }
+        self.ws();
+        Ok(true)
+    }
+
+    /// The string at the cursor: borrowed when it holds no escape, and
+    /// unescaped by the Value path's own parser when it does, so both paths
+    /// accept exactly the same escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected '\"'"));
+        }
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut i = start + 1;
+        let mut escaped = false;
+        loop {
+            match bytes.get(i) {
+                None => {
+                    self.pos = bytes.len();
+                    return Err(self.err("unterminated string"));
+                }
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    i += 2;
+                }
+                Some(_) => i += 1,
+            }
+        }
+        self.pos = i + 1;
+        if !escaped {
+            return Ok(Cow::Borrowed(&self.text[start + 1..i]));
+        }
+        serde_json::from_str::<String>(&self.text[start..self.pos])
+            .map(Cow::Owned)
+            .map_err(|e| format!("{e} in the string at byte {start}"))
+    }
+
+    /// The number at the cursor, checked against JSON's grammar, as the
+    /// `u64` the Value path would accept for an unsigned field: an integer
+    /// in range, `-0` included; a fraction, an exponent or a negative
+    /// value is a type error.
+    fn uint(&mut self) -> Result<u64, String> {
+        let negative = self.peek() == Some(b'-');
+        if !negative && !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            return match self.kind() {
+                "no value" => Err(self.value_err()),
+                kind => Err(format!("expected unsigned integer, got {kind}")),
+            };
+        }
+        self.pos += negative as usize;
+        let mut n = Some(0u64);
+        let mut digits = 0;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+            digits += 1;
+            self.pos += 1;
+        }
+        if digits == 0 {
+            return Err(self.err("invalid number"));
+        }
+        let fraction = self.fraction_and_exponent()?;
+        match (n, negative, fraction) {
+            (Some(n), false, false) => Ok(n),
+            (Some(0), true, false) => Ok(0),
+            (Some(n), true, false) if i64::try_from(n).is_ok() => {
+                Err("expected unsigned integer, got integer".to_string())
+            }
+            _ => Err("expected unsigned integer, got number".to_string()),
+        }
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        let n = self.uint()?;
+        u32::try_from(n).map_err(|_| format!("{n} out of range"))
+    }
+
+    /// Consume an optional `.digits` and `e±digits`; true if either was there.
+    fn fraction_and_exponent(&mut self) -> Result<bool, String> {
+        let mut any = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            any = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+            any = true;
+        }
+        Ok(any)
+    }
+
+    fn digits(&mut self) -> Result<(), String> {
+        if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            return Err(self.err("invalid number"));
+        }
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// The syntax error for a cursor on no valid value start.
+    fn value_err(&self) -> String {
+        self.err(if self.peek().is_some() {
+            "unexpected character"
+        } else {
+            "unexpected end of input"
+        })
+    }
+
+    /// Skip the value at the cursor after checking its syntax, `depth`
+    /// containers deep already. Iterative: one bit per open container
+    /// (object or array) stands in for the call stack, so hostile nesting
+    /// costs no stack and fails at the depth the Value path fails at.
+    fn skip(&mut self, depth: usize) -> Result<(), String> {
+        let mut open = 0usize;
+        let mut objects = 0u128;
+        loop {
+            // The cursor is on a value.
+            match self.peek() {
+                Some(b @ (b'{' | b'[')) => {
+                    if depth + open == MAX_DEPTH {
+                        return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                    }
+                    self.pos += 1;
+                    let object = b == b'{';
+                    objects = objects & !(1 << open) | (u128::from(object) << open);
+                    open += 1;
+                    let mut first = true;
+                    let more = if object {
+                        self.member(&mut first)?.is_some()
+                    } else {
+                        self.element(&mut first)?
+                    };
+                    if more {
+                        continue;
+                    }
+                    open -= 1;
+                }
+                Some(b'"') => {
+                    self.string()?;
+                }
+                Some(b't') => self.literal("true")?,
+                Some(b'f') => self.literal("false")?,
+                Some(b'n') => self.literal("null")?,
+                Some(b'-' | b'0'..=b'9') => self.number()?,
+                _ => return Err(self.value_err()),
+            }
+            // A value ended: close finished containers, or step to the next
+            // value in the innermost open one.
+            loop {
+                if open == 0 {
+                    return Ok(());
+                }
+                let mut first = false;
+                let more = if objects >> (open - 1) & 1 == 1 {
+                    self.member(&mut first)?.is_some()
+                } else {
+                    self.element(&mut first)?
+                };
+                if more {
+                    break;
+                }
+                open -= 1;
+            }
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("invalid literal, expected `{lit}`")))
+        }
+    }
+
+    fn number(&mut self) -> Result<(), String> {
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        self.digits()?;
+        self.fraction_and_exponent().map(drop)
+    }
+
+    /// An object of unsigned fields, all required: the first occurrence of
+    /// each of `names`, anything else skipped.
+    fn uints<const N: usize>(
+        &mut self,
+        names: [&str; N],
+        depth: usize,
+    ) -> Result<[u64; N], String> {
+        self.open(b'{', "object")?;
+        let mut got = [None; N];
+        let mut first = true;
+        while let Some(key) = self.member(&mut first)? {
+            match names.iter().position(|&name| key == name) {
+                Some(i) if got[i].is_none() => got[i] = Some(self.uint()?),
+                _ => self.skip(depth + 1)?,
+            }
+        }
+        let mut out = [0; N];
+        for (i, v) in got.into_iter().enumerate() {
+            out[i] = required(v, names[i])?;
+        }
+        Ok(out)
+    }
+
+    /// A `{"graph":…,"release":…}` job, `depth` containers deep. The edges
+    /// go straight into a [`GraphBuilder`], whose `build` validates the
+    /// graph once.
+    fn job(&mut self, depth: usize) -> Result<JobSpec, String> {
+        self.open(b'{', "object")?;
+        let (mut graph, mut release) = (None, None);
+        let mut first = true;
+        while let Some(key) = self.member(&mut first)? {
+            match &*key {
+                "graph" if graph.is_none() => graph = Some(self.graph(depth + 1)?),
+                "release" if release.is_none() => release = Some(self.uint()?),
+                _ => self.skip(depth + 1)?,
+            }
+        }
+        Ok(JobSpec {
+            graph: required(graph, "graph")?,
+            release: required(release, "release")?,
+        })
+    }
+
+    /// A `{"n":…,"edges":[[u,v],…]}` graph, `depth` containers deep.
+    fn graph(&mut self, depth: usize) -> Result<flowtree_dag::JobGraph, String> {
+        self.open(b'{', "object")?;
+        // `n` may follow the edges: the builder starts empty and grows to
+        // `n` nodes before the build.
+        let mut b = GraphBuilder::new(0);
+        let (mut n, mut edges) = (None, false);
+        let mut first = true;
+        while let Some(key) = self.member(&mut first)? {
+            match &*key {
+                "n" if n.is_none() => n = Some(self.u32()?),
+                "edges" if !edges => {
+                    edges = true;
+                    self.open(b'[', "array")?;
+                    let mut first = true;
+                    while self.element(&mut first)? {
+                        let (u, v) = self.edge()?;
+                        b.edge(u, v);
+                    }
+                }
+                _ => self.skip(depth + 1)?,
+            }
+        }
+        let n = required(n, "n")?;
+        required(edges.then_some(()), "edges")?;
+        b.add_nodes(n as usize);
+        b.build().map_err(|e| e.to_string())
+    }
+
+    /// One `[u, v]` edge: an array of exactly two `u32`s.
+    fn edge(&mut self) -> Result<(u32, u32), String> {
+        self.open(b'[', "array")?;
+        self.ws();
+        let u = self.u32()?;
+        self.ws();
+        self.expect(b',')?;
+        self.ws();
+        let v = self.u32()?;
+        self.ws();
+        if self.peek() != Some(b']') {
+            return Err(self.err("expected array of 2"));
+        }
+        self.pos += 1;
+        Ok((u, v))
+    }
+
+    /// A `[job, …]` array that is a top-level member, appended to `out`;
+    /// returns the count.
+    fn jobs_into(&mut self, out: &mut Vec<JobSpec>) -> Result<usize, String> {
+        self.open(b'[', "array")?;
+        let mut count = 0;
+        let mut first = true;
+        while self.element(&mut first)? {
+            out.push(self.job(2)?);
+            count += 1;
+        }
+        Ok(count)
+    }
+}
+
+/// One pass over a JSON frame's top-level object: the index of its `type`
+/// tag in `hot`, with the first occurrence of each of `keys` handed to
+/// `read` as `(tag, key index, reader on the value)`. `read` decodes the
+/// value and returns true, or returns false for a key the tag does not
+/// use. A key seen before the tag is read once the tag is known. Every
+/// other value is skipped after a syntax check, and anything but
+/// whitespace after the object is an error. `Ok(None)` as soon as the frame
+/// shows it is no hot message — it is not an object, or its first `type`
+/// is not a string or not in `hot` — and at the end if it has no `type`:
+/// the Value path decodes those, and words their errors.
+fn scan_hot<'a, const N: usize>(
+    text: &'a str,
+    hot: &[&str],
+    keys: [&str; N],
+    mut read: impl FnMut(usize, usize, &mut JsonReader<'a>) -> Result<bool, String>,
+) -> Result<Option<usize>, String> {
+    let mut r = JsonReader::at(text, 0);
+    r.ws();
+    if r.peek() != Some(b'{') {
+        return Ok(None);
+    }
+    r.pos += 1;
+    let (mut tag, mut typed) = (None, false);
+    let (mut seen, mut later) = ([false; N], [None; N]);
+    let mut first = true;
+    while let Some(key) = r.member(&mut first)? {
+        if key == "type" && !typed {
+            typed = true;
+            if r.peek() != Some(b'"') {
+                return Ok(None);
+            }
+            let name = r.string()?;
+            match hot.iter().position(|&h| name == h) {
+                Some(i) => tag = Some(i),
+                None => return Ok(None),
+            }
+            continue;
+        }
+        if let Some(i) = keys.iter().position(|&k| key == k) {
+            if !std::mem::replace(&mut seen[i], true) {
+                match tag {
+                    Some(t) if read(t, i, &mut r)? => continue,
+                    Some(_) => {}
+                    None => later[i] = Some(r.pos),
+                }
+            }
+        }
+        r.skip(1)?;
+    }
+    r.ws();
+    if r.pos != text.len() {
+        return Err(r.err("trailing characters after JSON value"));
+    }
+    let Some(tag) = tag else { return Ok(None) };
+    for (i, pos) in later.into_iter().enumerate() {
+        if let Some(pos) = pos {
+            read(tag, i, &mut JsonReader::at(text, pos))?;
+        }
+    }
+    Ok(Some(tag))
+}
+
+/// A required field's value, or its `missing field` error.
+fn required<T>(value: Option<T>, name: &str) -> Result<T, String> {
+    value.ok_or_else(|| serde::Error::missing_field(name).to_string())
+}
+
+/// What [`read_request`] made of a request frame.
+pub(crate) enum HotRequest {
+    /// A submit (`batch == false`, one job) or submit batch whose `count`
+    /// jobs were appended to the caller's vec.
+    Staged {
+        /// Jobs appended.
+        count: usize,
+        /// Whether the frame was a batch.
+        batch: bool,
+    },
+    /// A watermark.
+    Watermark(Time),
+    /// A control message, or a frame no hot reader claims: decode it with
+    /// [`decode`].
+    Other,
+}
+
+/// Read a request frame in one pass, either codec: a submit's jobs are
+/// appended to `out` (nothing is left there on an error), a watermark comes
+/// back as its time, anything else as [`HotRequest::Other`].
+pub(crate) fn read_request(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<HotRequest, String> {
+    let before = out.len();
+    let read = if payload.first() == Some(&BINARY_MARKER) {
+        read_request_binary(payload, out)
+    } else {
+        read_request_json(payload, out)
+    };
+    if read.is_err() {
+        out.truncate(before);
+    }
+    read
+}
+
+fn read_request_binary(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<HotRequest, String> {
+    let mut r = BinReader::new(&payload[1..]);
+    let read = match r.take(1)?[0] {
+        OP_SUBMIT_BATCH => {
+            HotRequest::Staged { count: read_submit_batch_binary(&mut r, out)?, batch: true }
+        }
+        OP_WATERMARK => HotRequest::Watermark(r.u64()?),
+        other => return Err(format!("unknown binary request opcode {other}")),
+    };
+    r.finish()?;
+    Ok(read)
+}
+
+fn read_request_json(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<HotRequest, String> {
+    let text = utf8(payload)?;
+    let hot = ["submit", "submit-batch", "watermark"];
+    let (mut count, mut t) = (None, None);
+    let tag = scan_hot(text, &hot, ["job", "jobs", "t"], |tag, key, r| {
+        match (tag, key) {
+            (0, 0) => {
+                out.push(r.job(1)?);
+                count = Some(1);
+            }
+            (1, 1) => count = Some(r.jobs_into(out)?),
+            (2, 2) => t = Some(r.uint()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(match tag {
+        None => HotRequest::Other,
+        Some(0) => HotRequest::Staged { count: required(count, "job")?, batch: false },
+        Some(1) => HotRequest::Staged { count: required(count, "jobs")?, batch: true },
+        Some(_) => HotRequest::Watermark(required(t, "t")?),
+    })
+}
+
+/// Read an `ack` or `busy` JSON reply in one pass; `Ok(None)` for any
+/// other frame.
+fn read_reply_json(text: &str) -> Result<Option<Reply>, String> {
+    let keys = ["seq", "delta", "frames", "retry_after_ms"];
+    let (mut seq, mut delta, mut frames, mut retry) = (None, None, None, None);
+    let tag = scan_hot(text, &["ack", "busy"], keys, |tag, key, r| {
+        match (tag, key) {
+            (0, 0) => seq = Some(r.uint()?),
+            (0, 1) => {
+                let names = ["offered", "delivered", "dropped", "reordered", "wm_skipped"];
+                let [offered, delivered, dropped, reordered, wm_skipped] = r.uints(names, 1)?;
+                delta = Some(IngestStats { offered, delivered, dropped, reordered, wm_skipped });
+            }
+            (_, 2) => frames = Some(r.uint()?),
+            (1, 3) => retry = Some(r.uint()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let frames = frames.unwrap_or(1);
+    Ok(match tag {
+        None => None,
+        Some(0) => Some(Reply::Ack {
+            seq: required(seq, "seq")?,
+            delta: required(delta, "delta")?,
+            frames,
+        }),
+        Some(_) => Some(Reply::Busy { retry_after_ms: required(retry, "retry_after_ms")?, frames }),
+    })
 }
 
 // ------------------------------------------------------------- binary codec
@@ -772,57 +1353,27 @@ pub fn encode_reply_into(reply: &Reply, codec: WireCodec, out: &mut Vec<u8>) {
 /// Decode a frame payload into a [`Request`], sniffing the codec from the
 /// first byte — a connection may mix codecs frame by frame.
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
-    if payload.first() == Some(&BINARY_MARKER) {
-        let mut r = BinReader::new(&payload[1..]);
-        let op = r.take(1)?[0];
-        let req = match op {
-            OP_SUBMIT_BATCH => {
-                let mut jobs = Vec::new();
-                read_submit_batch_binary(&mut r, &mut jobs)?;
-                Request::SubmitBatch { jobs }
-            }
-            OP_WATERMARK => Request::Watermark { t: r.u64()? },
-            other => return Err(format!("unknown binary request opcode {other}")),
-        };
-        r.finish()?;
-        Ok(req)
-    } else {
-        decode(payload)
+    let mut jobs = Vec::new();
+    match read_request(payload, &mut jobs)? {
+        HotRequest::Staged { batch: true, .. } => Ok(Request::SubmitBatch { jobs }),
+        HotRequest::Staged { batch: false, .. } => {
+            Ok(Request::Submit { job: jobs.pop().expect("a staged submit holds its one job") })
+        }
+        HotRequest::Watermark(t) => Ok(Request::Watermark { t }),
+        HotRequest::Other => decode(payload),
     }
 }
 
 /// If `payload` is a submit frame (either codec), decode its jobs
 /// *appending* into `out` and return `Ok(Some(count))`; `Ok(None)` leaves
-/// `out` untouched for a non-submit frame. The gateway's hot loop stages
-/// every submit straight into the connection's pending batch this way —
-/// no intermediate `Vec` per frame.
+/// `out` untouched for a frame that is not a submit, and so does an error.
+/// A JSON frame is read in one pass with no intermediate `Vec` or value
+/// tree; a frame that is no hot message is left undecoded for
+/// [`decode_request`] to diagnose.
 pub fn decode_submit_into(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<Option<usize>, String> {
-    if payload.first() == Some(&BINARY_MARKER) {
-        let mut r = BinReader::new(&payload[1..]);
-        if r.take(1)?[0] != OP_SUBMIT_BATCH {
-            return Ok(None);
-        }
-        let count = read_submit_batch_binary(&mut r, out)?;
-        r.finish()?;
-        return Ok(Some(count));
-    }
-    let text =
-        std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_string())?;
-    let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    let tag: String = field(&v, "type").map_err(|e| e.to_string())?;
-    match tag.as_str() {
-        "submit" => {
-            let job: JobSpec = field(&v, "job").map_err(|e| e.to_string())?;
-            out.push(job);
-            Ok(Some(1))
-        }
-        "submit-batch" => {
-            let jobs: Vec<JobSpec> = field(&v, "jobs").map_err(|e| e.to_string())?;
-            let count = jobs.len();
-            out.extend(jobs);
-            Ok(Some(count))
-        }
-        _ => Ok(None),
+    match read_request(payload, out)? {
+        HotRequest::Staged { count, .. } => Ok(Some(count)),
+        HotRequest::Watermark(_) | HotRequest::Other => Ok(None),
     }
 }
 
@@ -851,7 +1402,11 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, String> {
         r.finish()?;
         Ok(reply)
     } else {
-        decode(payload)
+        let text = utf8(payload)?;
+        match read_reply_json(text)? {
+            Some(reply) => Ok(reply),
+            None => serde_json::from_str(text).map_err(|e| e.to_string()),
+        }
     }
 }
 
@@ -964,14 +1519,14 @@ mod tests {
     fn codec_and_window_default_when_absent_for_old_peers() {
         let req: Request = decode(b"{\"type\":\"hello\",\"proto\":2,\"client\":\"old\"}").unwrap();
         assert_eq!(req, Request::hello("old"));
-        let reply: Reply = decode(
-            b"{\"type\":\"ack\",\"seq\":7,\"delta\":{\"offered\":1,\"delivered\":1,\
-              \"dropped\":0,\"reordered\":0,\"wm_skipped\":0}}",
-        )
-        .unwrap();
+        let ack = b"{\"type\":\"ack\",\"seq\":7,\"delta\":{\"offered\":1,\"delivered\":1,\
+              \"dropped\":0,\"reordered\":0,\"wm_skipped\":0}}";
+        let reply: Reply = decode(ack).unwrap();
         assert!(matches!(reply, Reply::Ack { frames: 1, .. }));
-        let busy: Reply = decode(b"{\"type\":\"busy\",\"retry_after_ms\":9}").unwrap();
-        assert_eq!(busy, Reply::Busy { retry_after_ms: 9, frames: 1 });
+        assert_eq!(decode_reply(ack), Ok(reply), "the direct reader defaults alike");
+        let busy = b"{\"type\":\"busy\",\"retry_after_ms\":9}";
+        assert_eq!(decode::<Reply>(busy), Ok(Reply::Busy { retry_after_ms: 9, frames: 1 }));
+        assert_eq!(decode_reply(busy), decode::<Reply>(busy));
     }
 
     fn sample_jobs() -> Vec<JobSpec> {
@@ -1087,13 +1642,14 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_bad_payloads_decode_to_errors() {
-        assert!(decode::<Request>(b"{\"type\":\"frobnicate\"}")
-            .unwrap_err()
-            .contains("unknown request type"));
-        assert!(decode::<Request>(b"not json at all").is_err());
-        assert!(decode::<Request>(&[0xFF, 0xFE]).unwrap_err().contains("UTF-8"));
-        assert!(decode::<Request>(b"{\"type\":\"watermark\"}")
-            .unwrap_err()
-            .contains("missing field"));
+        for decoder in [decode::<Request>, decode_request] {
+            let err = |payload: &[u8]| decoder(payload).unwrap_err();
+            assert!(err(b"{\"type\":\"frobnicate\"}").contains("unknown request type"));
+            assert!(err(b"not json at all").contains("at byte"));
+            assert!(err(&[0xFF, 0xFE]).contains("UTF-8"));
+            assert!(err(b"{\"type\":\"watermark\"}").contains("missing field"));
+            assert!(err(b"{\"type\":\"submit-batch\"}").contains("missing field"));
+            assert!(err(b"{\"type\":\"watermark\",\"t\":1} x").contains("trailing"));
+        }
     }
 }

@@ -28,6 +28,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> codec-cost gate (JSON submit decode <= 3x binary, same frames, release)"
+# Both codecs are timed in one process on the same host, so the ratio
+# tracks the decoder rather than the machine's speed.
+cargo test --release -q -p flowtree-gateway -- --ignored
+
 echo "==> algo_a_tour example (release-mode Algorithm A / MC path and its asserts)"
 cargo run --release -q --example algo_a_tour >/dev/null
 
