@@ -2,8 +2,8 @@
 //!
 //! `gateway` owns the pool: it launches the same sharded service `serve`
 //! does, but takes arrivals over a socket instead of an in-process source,
-//! multiplexing any number of remote clients until one of them requests a
-//! drain. `submit` is the remote side: it replays a trace (or samples a
+//! serving each remote client on its own thread until one of them requests
+//! a drain. `submit` is the remote side: it replays a trace (or samples a
 //! scenario) through a [`GatewayClient`], absorbing `Busy` backpressure
 //! with retries.
 //!

@@ -1,25 +1,27 @@
-//! The gateway server: an event-driven connection loop multiplexing any
-//! number of client connections into a single [`PoolHandle`].
+//! The gateway server: one blocking thread per client connection, every
+//! one feeding the same [`PoolHandle`].
 //!
-//! An accept thread hands each connection to one of a fixed pool of worker
-//! threads (round-robin). Every worker owns a set of *nonblocking* sockets
-//! and loops over them: drain readable bytes into a per-connection buffer,
-//! parse complete frames in place, handle them, and flush buffered replies
-//! without ever blocking on a peer — so thousands of mostly-idle clients
-//! cost a handful of threads, not one thread each. std has no portable
-//! readiness API, so the loop is a polling one with an adaptive idle
-//! strategy: yield while hot (a reply is usually answered within one
-//! scheduler quantum), back off to millisecond sleeps only when every
-//! connection has gone quiet.
+//! An accept thread spawns a thread for each connection, up to
+//! [`MAX_CONNECTIONS`]; a connection past the cap gets a [`Reply::Reject`]
+//! and is closed without a thread. A connection thread reads whole frames
+//! through a [`BufReader`] with [`read_frame_into`], the reader clients use
+//! too, and writes its replies with blocking writes. Between frames it
+//! parks in the kernel, so a quiet connection costs no CPU and a frame that
+//! ends a quiet spell is read at once. A client that never reads its
+//! replies stalls its thread in a write once the socket buffers fill; the
+//! thread then reads nothing more, so the gateway buffers nothing more for
+//! that client.
 //!
 //! Consecutive submit frames on one connection coalesce into a single
 //! pool offer answered by one cumulative `ack{seq,delta,frames}` — the
 //! group closes when the connection's negotiated window fills, a
-//! non-submit frame arrives, or the readable bytes run dry. Workers never
-//! block inside the pool on a client's behalf: when the pool's policy is
+//! non-submit frame arrives, or the read buffer holds no whole frame. In
+//! the last case the thread offers the group and writes every queued reply
+//! before it parks in the next read. A connection thread never blocks
+//! inside the pool on a client's behalf: when the pool's policy is
 //! `block`, a group that would block is answered with [`Reply::Busy`]
 //! *before* being offered, so backpressure becomes a wire-level retry loop
-//! instead of a stalled worker, and the ledger invariant
+//! instead of a stalled thread, and the ledger invariant
 //! `delivered + dropped == offered` stays exact across all clients
 //! combined.
 //!
@@ -28,37 +30,27 @@
 //! `report --flight` shows the network edge next to swaps and drops.
 
 use crate::wire::{
-    decode, decode_request, encode_reply_into, frame_len, push_frame, read_request, HotRequest,
-    Reply, Request, WireCodec, HEADER_LEN, MAX_FRAME, PROTOCOL_VERSION,
+    decode, decode_request, encode_reply_into, push_frame, read_frame_into, read_request,
+    write_frame, FrameError, HotRequest, Reply, Request, WireCodec, HEADER_LEN, MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{FlightKind, OverloadPolicy, PoolHandle};
 use flowtree_sim::JobSpec;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
-/// Consecutive no-progress worker iterations before the loop stops
-/// yielding and starts sleeping.
-const IDLE_YIELDS: u32 = 64;
+/// Most client connections served at once. A connection past the cap is
+/// refused with a [`Reply::Reject`] and gets no thread, so outside input
+/// cannot make the gateway start more threads than this.
+pub const MAX_CONNECTIONS: usize = 256;
 
-/// Idle iterations after which the sleep stretches from 1 ms to
-/// [`DEEP_IDLE_SLEEP`] — a long-quiet gateway should not tax a loaded
-/// host with timer wakeups.
-const DEEP_IDLE_AFTER: u32 = 200;
-
-/// The deep-idle sleep.
-const DEEP_IDLE_SLEEP: Duration = Duration::from_millis(10);
-
-/// Per-connection read chunk; also bounds how much one connection can
-/// pull in per worker iteration (fairness across connections).
-const READ_CHUNK: usize = 16 << 10;
-
-/// Compact a buffer once this many consumed bytes sit in front of it.
-const COMPACT_AT: usize = 64 << 10;
+/// Read-buffer bytes per connection. Frames already in the buffer join the
+/// open submit group without another read.
+const READ_BUF: usize = 64 << 10;
 
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
@@ -67,20 +59,13 @@ pub struct GatewayConfig {
     pub max_frame: usize,
     /// Back-off suggested in [`Reply::Busy`].
     pub retry_after_ms: u64,
-    /// Event-loop worker threads; `0` picks `min(cores, 4)`.
-    pub workers: usize,
     /// Ceiling on the ack window a client may negotiate in its hello.
     pub max_window: u64,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig {
-            max_frame: MAX_FRAME,
-            retry_after_ms: 50,
-            workers: 0,
-            max_window: 256,
-        }
+        GatewayConfig { max_frame: MAX_FRAME, retry_after_ms: 50, max_window: 256 }
     }
 }
 
@@ -147,14 +132,13 @@ impl GatewayStats {
     }
 }
 
-/// A running gateway: accept loop plus a fixed pool of event-loop workers.
+/// A running gateway: an accept loop plus one thread per connection.
 #[derive(Debug)]
 pub struct Gateway {
     addr: SocketAddr,
     stats: Arc<GatewayStats>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     drain_rx: mpsc::Receiver<String>,
 }
 
@@ -167,60 +151,14 @@ impl Gateway {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(GatewayStats::default());
         let (drain_tx, drain_rx) = mpsc::channel();
-
-        let nworkers = if cfg.workers == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
-        } else {
-            cfg.workers
-        };
-        let mut workers = Vec::with_capacity(nworkers);
-        let mut conn_txs = Vec::with_capacity(nworkers);
-        for w in 0..nworkers {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            conn_txs.push(tx);
-            let handle = handle.clone();
-            let cfg = cfg.clone();
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let drain_tx = drain_tx.clone();
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("gateway-worker-{w}"))
-                    .spawn(move || worker_loop(rx, handle, &cfg, &stats, &stop, &drain_tx))?,
-            );
-        }
-
         let accept = {
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
-            thread::Builder::new().name("gateway-accept".into()).spawn(move || {
-                let mut next = 0usize;
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match conn {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    stats.connections_total.fetch_add(1, Ordering::SeqCst);
-                    stats.connections_open.fetch_add(1, Ordering::SeqCst);
-                    if conn_txs[next % conn_txs.len()].send(stream).is_err() {
-                        stats.connections_open.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    next += 1;
-                }
-            })?
+            thread::Builder::new()
+                .name("gateway-accept".into())
+                .spawn(move || accept_loop(&listener, &handle, &cfg, &stats, &stop, &drain_tx))?
         };
-
-        Ok(Gateway {
-            addr: local,
-            stats,
-            stop,
-            accept: Some(accept),
-            workers,
-            drain_rx,
-        })
+        Ok(Gateway { addr: local, stats, stop, accept: Some(accept), drain_rx })
     }
 
     /// The bound address (with the real port when launched on `:0`).
@@ -239,9 +177,9 @@ impl Gateway {
         self.drain_rx.recv().ok()
     }
 
-    /// Stop accepting, wake the workers out of their polling loops, and
-    /// join every thread. Safe to call with connections still open —
-    /// workers flush what they can and close.
+    /// Stop accepting, shut every open connection down, and join every
+    /// thread. Safe to call with connections still open: shutting a socket
+    /// down wakes its thread out of a blocked read or write.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Poke the blocking accept loop awake with a throwaway connection.
@@ -249,15 +187,78 @@ impl Gateway {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        for w in std::mem::take(&mut self.workers) {
-            let _ = w.join();
-        }
     }
 }
 
-/// One connection's state inside a worker's event loop.
+/// Give each accepted connection its own thread until `stop`, then shut
+/// every live connection down and join its thread.
+fn accept_loop(
+    listener: &TcpListener,
+    handle: &PoolHandle,
+    cfg: &GatewayConfig,
+    stats: &Arc<GatewayStats>,
+    stop: &AtomicBool,
+    drain_tx: &mpsc::Sender<String>,
+) {
+    // Each live thread with a clone of its socket, to wake it on stop.
+    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = conn else { continue };
+        stats.connections_total.fetch_add(1, Ordering::SeqCst);
+        for (_, t) in live.extract_if(.., |(_, t)| t.is_finished()) {
+            let _ = t.join();
+        }
+        if live.len() >= MAX_CONNECTIONS {
+            refuse(stream);
+            continue;
+        }
+        let Ok(waker) = stream.try_clone() else {
+            continue;
+        };
+        stats.connections_open.fetch_add(1, Ordering::SeqCst);
+        let conn = Conn::new(&stream, handle, cfg, stats, drain_tx);
+        match thread::Builder::new()
+            .name("gateway-conn".into())
+            .spawn(move || conn.serve(stream))
+        {
+            Ok(t) => live.push((waker, t)),
+            // The connection went down with the closure.
+            Err(_) => {
+                stats.connections_open.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+    for (waker, _) in &live {
+        let _ = waker.shutdown(Shutdown::Both);
+    }
+    for (_, t) in live {
+        let _ = t.join();
+    }
+}
+
+/// Turn away a connection past [`MAX_CONNECTIONS`]: one reject, then close.
+fn refuse(mut stream: TcpStream) {
+    let reason = format!("too many connections (the gateway serves {MAX_CONNECTIONS} at once)");
+    let mut payload = Vec::new();
+    encode_reply_into(&Reply::Reject { reason }, WireCodec::Json, &mut payload);
+    let _ = write_frame(&mut stream, &payload);
+}
+
+/// Whether `buf` starts with a whole frame.
+fn holds_whole_frame(buf: &[u8]) -> bool {
+    buf.first_chunk::<HEADER_LEN>()
+        .is_some_and(|h| buf.len() - HEADER_LEN >= u32::from_be_bytes(*h) as usize)
+}
+
+/// One connection, owned by its thread.
 struct Conn {
-    stream: TcpStream,
+    handle: PoolHandle,
+    cfg: GatewayConfig,
+    stats: Arc<GatewayStats>,
+    drain_tx: mpsc::Sender<String>,
     peer: String,
     /// Client name from the hello; the handshake gate is `hello`.
     client: String,
@@ -267,428 +268,248 @@ struct Conn {
     codec: WireCodec,
     /// Granted ack window: submit frames that may coalesce into one ack.
     window: u64,
-    /// Read buffer; `rpos` is the parse cursor (consumed prefix).
-    rbuf: Vec<u8>,
-    rpos: usize,
-    /// Write buffer; `wpos` is the flush cursor (already-sent prefix).
-    wbuf: Vec<u8>,
-    wpos: usize,
     /// Jobs staged from not-yet-acknowledged submit frames of the open
     /// group, and how many frames staged them.
     pending: Vec<JobSpec>,
     pending_frames: u64,
-    /// Flush remaining writes, then close cleanly (drain, fatal reject).
-    close_after_flush: bool,
-    dead: bool,
+    /// Framed replies not yet written.
+    out: Vec<u8>,
+    /// Reply-encode scratch.
+    scratch: Vec<u8>,
+    /// Write the queued replies, then close (drain, fatal reject).
+    close: bool,
 }
 
 impl Conn {
-    fn adopt(stream: TcpStream) -> io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
-        Ok(Conn {
-            stream,
-            peer,
+    fn new(
+        stream: &TcpStream,
+        handle: &PoolHandle,
+        cfg: &GatewayConfig,
+        stats: &Arc<GatewayStats>,
+        drain_tx: &mpsc::Sender<String>,
+    ) -> Conn {
+        Conn {
+            handle: handle.clone(),
+            cfg: cfg.clone(),
+            stats: Arc::clone(stats),
+            drain_tx: drain_tx.clone(),
+            peer: stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string()),
             client: String::new(),
             hello: false,
             seq: 0,
             codec: WireCodec::Json,
             window: 1,
-            rbuf: Vec::new(),
-            rpos: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
             pending: Vec::new(),
             pending_frames: 0,
-            close_after_flush: false,
-            dead: false,
-        })
+            out: Vec::new(),
+            scratch: Vec::new(),
+            close: false,
+        }
     }
-}
 
-/// Everything a worker needs to handle frames, bundled so the per-frame
-/// handlers stay readable.
-struct WorkerCtx<'a> {
-    handle: &'a PoolHandle,
-    cfg: &'a GatewayConfig,
-    stats: &'a GatewayStats,
-    drain_tx: &'a mpsc::Sender<String>,
-    /// Reply-encode scratch, shared across this worker's connections.
-    scratch: Vec<u8>,
-}
-
-impl WorkerCtx<'_> {
-    /// Encode `reply` in the connection's granted codec and append it,
-    /// framed, to the connection's write buffer.
-    fn queue_reply(&mut self, conn: &mut Conn, reply: &Reply) {
-        encode_reply_into(reply, conn.codec, &mut self.scratch);
-        push_frame(&mut conn.wbuf, &self.scratch);
+    /// The connection thread: serve frames until the peer leaves, a frame
+    /// is fatal or a write fails, then shut the socket down — the accept
+    /// loop's clone would keep it open otherwise.
+    fn serve(mut self, stream: TcpStream) {
+        let _ = self.handle.record_flight(0, FlightKind::ConnOpen, 0, self.peer.clone());
+        let _ = stream.set_nodelay(true);
+        self.run(&stream);
+        let _ = stream.shutdown(Shutdown::Both);
+        let _ = self.handle.record_flight(0, FlightKind::ConnClose, 0, self.peer.clone());
+        self.stats.connections_open.fetch_sub(1, Ordering::SeqCst);
     }
-}
 
-/// The event loop: adopt new connections, step each live one, reap the
-/// dead, and idle adaptively when nothing moved.
-fn worker_loop(
-    rx: mpsc::Receiver<TcpStream>,
-    handle: PoolHandle,
-    cfg: &GatewayConfig,
-    stats: &GatewayStats,
-    stop: &AtomicBool,
-    drain_tx: &mpsc::Sender<String>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut ctx = WorkerCtx { handle: &handle, cfg, stats, drain_tx, scratch: Vec::new() };
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut idle = 0u32;
-    loop {
-        let stopping = stop.load(Ordering::SeqCst);
-        let mut progress = false;
-        while let Ok(stream) = rx.try_recv() {
-            progress = true;
-            match Conn::adopt(stream) {
-                Ok(conn) => {
-                    let _ = handle.record_flight(0, FlightKind::ConnOpen, 0, conn.peer.clone());
-                    conns.push(conn);
+    fn run(&mut self, mut stream: &TcpStream) {
+        let mut reader = BufReader::with_capacity(READ_BUF, stream);
+        let mut frame = Vec::new();
+        while !self.close {
+            if !holds_whole_frame(reader.buffer()) {
+                // Input ran dry: a natural group boundary, and the last
+                // moment to reply before parking in the read.
+                self.flush_group();
+                if stream.write_all(&self.out).is_err() {
+                    return;
                 }
+                self.out.clear();
+            }
+            match read_frame_into(&mut reader, self.cfg.max_frame, &mut frame) {
+                Ok(true) => self.handle_frame(&frame),
+                Ok(false) => return,
+                Err(e @ FrameError::Oversized { .. }) => {
+                    // The announced length is a lie we refuse to read
+                    // through, so frame sync is unrecoverable: reject, then
+                    // close.
+                    self.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
+                    self.flush_group();
+                    self.queue(&Reply::Reject { reason: e.to_string() });
+                    self.close = true;
+                }
+                // The peer hung up mid-frame, or the socket failed.
                 Err(_) => {
-                    stats.connections_open.fetch_sub(1, Ordering::SeqCst);
+                    self.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
+                    return;
                 }
             }
         }
-        for conn in &mut conns {
-            progress |= step_conn(conn, &mut ctx, &mut chunk);
-        }
-        conns.retain(|c| {
-            if c.dead {
-                let _ = handle.record_flight(0, FlightKind::ConnClose, 0, c.peer.clone());
-                stats.connections_open.fetch_sub(1, Ordering::SeqCst);
-            }
-            !c.dead
-        });
-        if stopping {
-            for conn in &mut conns {
-                flush_writes(conn);
-                let _ = handle.record_flight(0, FlightKind::ConnClose, 0, conn.peer.clone());
-                stats.connections_open.fetch_sub(1, Ordering::SeqCst);
-            }
-            break;
-        }
-        if progress {
-            idle = 0;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle <= IDLE_YIELDS {
-                thread::yield_now();
-            } else if idle <= DEEP_IDLE_AFTER {
-                thread::sleep(Duration::from_millis(1));
-            } else {
-                thread::sleep(DEEP_IDLE_SLEEP);
-            }
-        }
-    }
-}
-
-/// One scheduling quantum for one connection: flush, read, parse, handle.
-/// Returns whether any byte moved (the worker's idle signal).
-fn step_conn(conn: &mut Conn, ctx: &mut WorkerCtx<'_>, chunk: &mut [u8]) -> bool {
-    if conn.dead {
-        return false;
-    }
-    let mut progress = flush_writes(conn);
-    if conn.dead {
-        return progress;
-    }
-    if conn.close_after_flush {
-        if conn.wpos == conn.wbuf.len() {
-            conn.dead = true;
-        }
-        return progress;
+        let _ = stream.write_all(&self.out);
     }
 
-    // Pull in whatever is readable, up to the fairness cap.
-    let mut saw_eof = false;
-    let mut pulled = 0usize;
-    loop {
-        match conn.stream.read(chunk) {
-            Ok(0) => {
-                saw_eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                pulled += n;
-                progress = true;
-                if n < chunk.len() || pulled >= 4 * READ_CHUNK {
-                    break;
+    /// Encode `reply` in the connection's granted codec and queue it,
+    /// framed, for the next write.
+    fn queue(&mut self, reply: &Reply) {
+        encode_reply_into(reply, self.codec, &mut self.scratch);
+        push_frame(&mut self.out, &self.scratch);
+    }
+
+    fn handle_frame(&mut self, frame: &[u8]) {
+        if !self.hello {
+            match decode_request(frame) {
+                Ok(Request::Hello { proto, client, codec, window }) => {
+                    self.hello(proto, client, codec, window)
+                }
+                Ok(_) => self.queue(&Reply::Reject { reason: "say hello first".to_string() }),
+                Err(e) => {
+                    self.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
+                    self.queue(&Reply::Reject { reason: format!("bad request: {e}") });
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                break
-            }
-            Err(_) => {
-                ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-                conn.dead = true;
-                return progress;
-            }
-        }
-    }
-
-    // Parse and handle every complete frame already buffered.
-    while !conn.dead && !conn.close_after_flush {
-        let Some(header) = conn.rbuf[conn.rpos..].first_chunk() else {
-            break;
-        };
-        let len = match frame_len(header, ctx.cfg.max_frame) {
-            Ok(len) => len,
-            Err(e) => {
-                // The announced length is a lie we refuse to read through, so
-                // frame sync is unrecoverable: reject, then close.
-                ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-                flush_group(conn, ctx);
-                ctx.queue_reply(conn, &Reply::Reject { reason: e.to_string() });
-                conn.close_after_flush = true;
-                break;
-            }
-        };
-        if conn.rbuf.len() - conn.rpos < HEADER_LEN + len {
-            break;
-        }
-        let start = conn.rpos + HEADER_LEN;
-        conn.rpos = start + len;
-        progress = true;
-        handle_frame(conn, start, start + len, ctx);
-    }
-
-    // Input ran dry: a natural group boundary.
-    if !conn.dead && !conn.close_after_flush {
-        flush_group(conn, ctx);
-    }
-
-    // Reclaim consumed read-buffer space.
-    if conn.rpos == conn.rbuf.len() {
-        conn.rbuf.clear();
-        conn.rpos = 0;
-    } else if conn.rpos > COMPACT_AT {
-        conn.rbuf.drain(..conn.rpos);
-        conn.rpos = 0;
-    }
-
-    if saw_eof && !conn.dead {
-        if conn.rpos < conn.rbuf.len() {
-            // The peer hung up mid-frame.
-            ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-            conn.dead = true;
-        } else {
-            conn.close_after_flush = true;
-        }
-    }
-
-    progress | flush_writes(conn)
-}
-
-/// Nonblocking write of the connection's buffered replies. Returns
-/// whether any byte left.
-fn flush_writes(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.wpos += n;
-                progress = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                break
-            }
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    if conn.wpos == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    } else if conn.wpos > COMPACT_AT {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
-    }
-    progress
-}
-
-/// Handle the frame at `rbuf[start..end]`.
-fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'_>) {
-    if !conn.hello {
-        match decode_request(&conn.rbuf[start..end]) {
-            Ok(Request::Hello { proto, client, codec, window }) => {
-                hello(conn, ctx, proto, client, codec, window)
-            }
-            Ok(_) => {
-                ctx.queue_reply(conn, &Reply::Reject { reason: "say hello first".to_string() })
-            }
-            Err(e) => {
-                ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-                ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
-            }
-        }
-        return;
-    }
-
-    // The hot path: one read stages a submit straight into the open group
-    // or yields a watermark; only control frames reach the Value path.
-    let req = match read_request(&conn.rbuf[start..end], &mut conn.pending) {
-        Ok(HotRequest::Staged { .. }) => {
-            conn.pending_frames += 1;
-            if conn.pending_frames >= conn.window {
-                flush_group(conn, ctx);
-            }
             return;
         }
-        Ok(HotRequest::Watermark(t)) => Ok(Request::Watermark { t }),
-        Ok(HotRequest::Other) => decode(&conn.rbuf[start..end]),
-        Err(e) => Err(e),
-    };
-    // Any other frame closes the open group first so replies stay in
-    // request order. Framing held, so after a bad request the stream is
-    // still in sync: reject the message, keep serving the connection.
-    flush_group(conn, ctx);
-    let req = match req {
-        Ok(r) => r,
-        Err(e) => {
-            ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-            ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
-            return;
-        }
-    };
-    match req {
-        Request::Hello { proto, client, codec, window } => {
-            hello(conn, ctx, proto, client, codec, window)
-        }
-        Request::Submit { .. } | Request::SubmitBatch { .. } => {
-            unreachable!("read_request stages every submit frame")
-        }
-        Request::Watermark { t } => match ctx.handle.advance_frontier(t) {
-            Ok(delta) => {
-                conn.seq += 1;
-                ctx.queue_reply(conn, &Reply::Ack { seq: conn.seq, delta, frames: 0 });
+
+        // The hot path: one read stages a submit straight into the open
+        // group or yields a watermark; only control frames reach the Value
+        // path.
+        let req = match read_request(frame, &mut self.pending) {
+            Ok(HotRequest::Staged { .. }) => {
+                self.pending_frames += 1;
+                if self.pending_frames >= self.window {
+                    self.flush_group();
+                }
+                return;
             }
-            Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
-        },
-        Request::Swap { shard, at, spec } => {
-            let target = usize::try_from(shard).ok();
-            match spec.parse::<SchedulerSpec>() {
-                Ok(s) => match ctx.handle.swap(target, at, s) {
-                    Ok(()) => {
-                        conn.seq += 1;
-                        ctx.queue_reply(
-                            conn,
-                            &Reply::Ack { seq: conn.seq, delta: Default::default(), frames: 0 },
-                        );
-                    }
-                    Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
-                },
-                Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: e }),
+            Ok(HotRequest::Watermark(t)) => Ok(Request::Watermark { t }),
+            Ok(HotRequest::Other) => decode(frame),
+            Err(e) => Err(e),
+        };
+        // Any other frame closes the open group first so replies stay in
+        // request order. Framing held, so after a bad request the stream is
+        // still in sync: reject the message, keep serving the connection.
+        self.flush_group();
+        let req = match req {
+            Ok(r) => r,
+            Err(e) => {
+                self.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
+                self.queue(&Reply::Reject { reason: format!("bad request: {e}") });
+                return;
             }
-        }
-        Request::Snapshot => {
-            let snap = ctx.handle.snapshot();
-            ctx.queue_reply(
-                conn,
-                &Reply::State {
+        };
+        match req {
+            Request::Hello { proto, client, codec, window } => {
+                self.hello(proto, client, codec, window)
+            }
+            Request::Submit { .. } | Request::SubmitBatch { .. } => {
+                unreachable!("read_request stages every submit frame")
+            }
+            Request::Watermark { t } => match self.handle.advance_frontier(t) {
+                Ok(delta) => {
+                    self.seq += 1;
+                    self.queue(&Reply::Ack { seq: self.seq, delta, frames: 0 });
+                }
+                Err(e) => self.queue(&Reply::Reject { reason: String::from(e) }),
+            },
+            Request::Swap { shard, at, spec } => {
+                let target = usize::try_from(shard).ok();
+                match spec.parse::<SchedulerSpec>() {
+                    Ok(s) => match self.handle.swap(target, at, s) {
+                        Ok(()) => {
+                            self.seq += 1;
+                            let delta = Default::default();
+                            self.queue(&Reply::Ack { seq: self.seq, delta, frames: 0 });
+                        }
+                        Err(e) => self.queue(&Reply::Reject { reason: String::from(e) }),
+                    },
+                    Err(e) => self.queue(&Reply::Reject { reason: e }),
+                }
+            }
+            Request::Snapshot => {
+                let snap = self.handle.snapshot();
+                self.queue(&Reply::State {
                     line: snap.line(),
                     offered: snap.ingest.offered,
                     delivered: snap.ingest.delivered,
                     dropped: snap.ingest.dropped,
                     balanced: snap.accounting_balanced(),
-                },
-            );
-        }
-        Request::Metrics => {
-            let mut text = ctx.handle.metrics().render_prometheus();
-            text.push_str(&ctx.stats.render_prometheus());
-            ctx.queue_reply(conn, &Reply::MetricsText { text });
-        }
-        Request::Drain => {
-            conn.seq += 1;
-            ctx.queue_reply(
-                conn,
-                &Reply::Ack { seq: conn.seq, delta: Default::default(), frames: 0 },
-            );
-            let _ = ctx.drain_tx.send(conn.client.clone());
-            conn.close_after_flush = true;
+                });
+            }
+            Request::Metrics => {
+                let mut text = self.handle.metrics().render_prometheus();
+                text.push_str(&self.stats.render_prometheus());
+                self.queue(&Reply::MetricsText { text });
+            }
+            Request::Drain => {
+                self.seq += 1;
+                self.queue(&Reply::Ack { seq: self.seq, delta: Default::default(), frames: 0 });
+                let _ = self.drain_tx.send(self.client.clone());
+                self.close = true;
+            }
         }
     }
-}
 
-/// Apply a hello: version-check, then grant codec and window.
-fn hello(
-    conn: &mut Conn,
-    ctx: &mut WorkerCtx<'_>,
-    proto: u32,
-    client: String,
-    codec: WireCodec,
-    window: u64,
-) {
-    if proto != PROTOCOL_VERSION {
-        let reason = format!("protocol {proto} unsupported (gateway speaks {PROTOCOL_VERSION})");
-        ctx.queue_reply(conn, &Reply::Reject { reason });
-        conn.close_after_flush = true;
-        return;
-    }
-    conn.hello = true;
-    conn.client = client;
-    conn.codec = codec;
-    conn.window = window.clamp(1, ctx.cfg.max_window.max(1));
-    let pool = ctx.handle.config();
-    ctx.queue_reply(
-        conn,
-        &Reply::Welcome {
+    /// Apply a hello: version-check, then grant codec and window.
+    fn hello(&mut self, proto: u32, client: String, codec: WireCodec, window: u64) {
+        if proto != PROTOCOL_VERSION {
+            let reason =
+                format!("protocol {proto} unsupported (gateway speaks {PROTOCOL_VERSION})");
+            self.queue(&Reply::Reject { reason });
+            self.close = true;
+            return;
+        }
+        self.hello = true;
+        self.client = client;
+        self.codec = codec;
+        self.window = window.clamp(1, self.cfg.max_window.max(1));
+        let pool = self.handle.config();
+        self.queue(&Reply::Welcome {
             proto: PROTOCOL_VERSION,
             shards: pool.shards,
             scheduler: pool.spec.name().to_string(),
             policy: pool.policy.name().to_string(),
-            codec: conn.codec,
-            window: conn.window,
-        },
-    );
-}
+            codec: self.codec,
+            window: self.window,
+        });
+    }
 
-/// Close the connection's open submit group: one room check, one pool
-/// offer, one reply. The group is all-or-nothing, so its ledger delta is
-/// never ambiguous. Under the blocking policy it is offered only if every
-/// shard queue has a free slot: one offer sends at most one admit command
-/// per shard, so it then cannot stall the worker. Otherwise the whole group
-/// is refused with one [`Reply::Busy`] before it touches any ledger
-/// counter, and the client resends it.
-fn flush_group(conn: &mut Conn, ctx: &mut WorkerCtx<'_>) {
-    let frames = conn.pending_frames;
-    if frames == 0 {
-        return;
-    }
-    let gated = ctx.handle.config().policy == OverloadPolicy::Block;
-    if gated && !ctx.handle.has_batch_room() {
-        ctx.stats.busy_replies.fetch_add(1, Ordering::SeqCst);
-        let t = conn.pending.first().map(|j| j.release).unwrap_or(0);
-        let detail = format!("{} batch of {}", conn.peer, conn.pending.len());
-        let _ = ctx.handle.record_flight(0, FlightKind::Busy, t, detail);
-        ctx.queue_reply(conn, &Reply::Busy { retry_after_ms: ctx.cfg.retry_after_ms, frames });
-    } else {
-        let jobs = conn.pending.len() as u64;
-        match ctx.handle.offer_batch_stamped(&mut conn.pending, ctx.handle.now_us()) {
-            Ok(delta) => {
-                ctx.stats.remote_jobs.fetch_add(jobs, Ordering::SeqCst);
-                conn.seq += 1;
-                ctx.queue_reply(conn, &Reply::Ack { seq: conn.seq, delta, frames });
-            }
-            Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
+    /// Close the open submit group: one room check, one pool offer, one
+    /// reply. The group is all-or-nothing, so its ledger delta is never
+    /// ambiguous. Under the blocking policy it is offered only if every
+    /// shard queue has a free slot: one offer sends at most one admit
+    /// command per shard, so it then cannot stall the thread. Otherwise the
+    /// whole group is refused with one [`Reply::Busy`] before it touches
+    /// any ledger counter, and the client resends it.
+    fn flush_group(&mut self) {
+        let frames = self.pending_frames;
+        if frames == 0 {
+            return;
         }
+        let gated = self.handle.config().policy == OverloadPolicy::Block;
+        if gated && !self.handle.has_batch_room() {
+            self.stats.busy_replies.fetch_add(1, Ordering::SeqCst);
+            let t = self.pending.first().map(|j| j.release).unwrap_or(0);
+            let detail = format!("{} batch of {}", self.peer, self.pending.len());
+            let _ = self.handle.record_flight(0, FlightKind::Busy, t, detail);
+            self.queue(&Reply::Busy { retry_after_ms: self.cfg.retry_after_ms, frames });
+        } else {
+            let jobs = self.pending.len() as u64;
+            match self.handle.offer_batch_stamped(&mut self.pending, self.handle.now_us()) {
+                Ok(delta) => {
+                    self.stats.remote_jobs.fetch_add(jobs, Ordering::SeqCst);
+                    self.seq += 1;
+                    self.queue(&Reply::Ack { seq: self.seq, delta, frames });
+                }
+                Err(e) => self.queue(&Reply::Reject { reason: String::from(e) }),
+            }
+        }
+        self.pending.clear();
+        self.pending_frames = 0;
     }
-    conn.pending.clear();
-    conn.pending_frames = 0;
 }

@@ -45,6 +45,12 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// refuses it before reserving memory.
 pub const MAX_FRAME: usize = 4 << 20;
 
+/// Most nodes the jobs of one submit frame may announce, summed (4 Mi). A
+/// job's node count costs the sender four bytes, but building its graph
+/// allocates several arrays of that length, so both codecs refuse a frame
+/// over this budget before they size any graph.
+pub const MAX_FRAME_NODES: usize = MAX_FRAME;
+
 /// First payload byte of every binary-codec message. `0x00` can never open
 /// a JSON document, so a decoder distinguishes the codecs per frame.
 pub const BINARY_MARKER: u8 = 0x00;
@@ -908,16 +914,16 @@ impl<'a> JsonReader<'a> {
         Ok(out)
     }
 
-    /// A `{"graph":…,"release":…}` job, `depth` containers deep. The edges
-    /// go straight into a [`GraphBuilder`], whose `build` validates the
-    /// graph once.
-    fn job(&mut self, depth: usize) -> Result<JobSpec, String> {
+    /// A `{"graph":…,"release":…}` job, `depth` containers deep, its nodes
+    /// charged to the frame's budget `nodes`. The edges go straight into a
+    /// [`GraphBuilder`], whose `build` validates the graph once.
+    fn job(&mut self, depth: usize, nodes: &mut usize) -> Result<JobSpec, String> {
         self.open(b'{', "object")?;
         let (mut graph, mut release) = (None, None);
         let mut first = true;
         while let Some(key) = self.member(&mut first)? {
             match &*key {
-                "graph" if graph.is_none() => graph = Some(self.graph(depth + 1)?),
+                "graph" if graph.is_none() => graph = Some(self.graph(depth + 1, nodes)?),
                 "release" if release.is_none() => release = Some(self.uint()?),
                 _ => self.skip(depth + 1)?,
             }
@@ -929,7 +935,7 @@ impl<'a> JsonReader<'a> {
     }
 
     /// A `{"n":…,"edges":[[u,v],…]}` graph, `depth` containers deep.
-    fn graph(&mut self, depth: usize) -> Result<flowtree_dag::JobGraph, String> {
+    fn graph(&mut self, depth: usize, nodes: &mut usize) -> Result<flowtree_dag::JobGraph, String> {
         self.open(b'{', "object")?;
         // `n` may follow the edges: the builder starts empty and grows to
         // `n` nodes before the build.
@@ -953,6 +959,7 @@ impl<'a> JsonReader<'a> {
         }
         let n = required(n, "n")?;
         required(edges.then_some(()), "edges")?;
+        charge_nodes(nodes, n)?;
         b.add_nodes(n as usize);
         b.build().map_err(|e| e.to_string())
     }
@@ -978,10 +985,10 @@ impl<'a> JsonReader<'a> {
     /// returns the count.
     fn jobs_into(&mut self, out: &mut Vec<JobSpec>) -> Result<usize, String> {
         self.open(b'[', "array")?;
-        let mut count = 0;
+        let (mut count, mut nodes) = (0, MAX_FRAME_NODES);
         let mut first = true;
         while self.element(&mut first)? {
-            out.push(self.job(2)?);
+            out.push(self.job(2, &mut nodes)?);
             count += 1;
         }
         Ok(count)
@@ -1050,6 +1057,14 @@ fn scan_hot<'a, const N: usize>(
     Ok(Some(tag))
 }
 
+/// Charge a job's `n` nodes to what is `left` of its frame's node budget.
+fn charge_nodes(left: &mut usize, n: u32) -> Result<(), String> {
+    *left = left.checked_sub(n as usize).ok_or_else(|| {
+        format!("the jobs of one frame may announce at most {MAX_FRAME_NODES} nodes")
+    })?;
+    Ok(())
+}
+
 /// A required field's value, or its `missing field` error.
 fn required<T>(value: Option<T>, name: &str) -> Result<T, String> {
     value.ok_or_else(|| serde::Error::missing_field(name).to_string())
@@ -1108,7 +1123,8 @@ fn read_request_json(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<HotReques
     let tag = scan_hot(text, &hot, ["job", "jobs", "t"], |tag, key, r| {
         match (tag, key) {
             (0, 0) => {
-                out.push(r.job(1)?);
+                let mut nodes = MAX_FRAME_NODES;
+                out.push(r.job(1, &mut nodes)?);
                 count = Some(1);
             }
             (1, 1) => count = Some(r.jobs_into(out)?),
@@ -1244,14 +1260,16 @@ fn read_submit_batch_binary(
         return Err("binary job count exceeds payload".to_string());
     }
     out.reserve(count);
+    let mut nodes = MAX_FRAME_NODES;
     for _ in 0..count {
         let release = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.u32()?;
+        charge_nodes(&mut nodes, n)?;
         let edges = r.u32()? as usize;
         if edges.saturating_mul(8) > r.buf.len() - r.pos {
             return Err("binary edge count exceeds payload".to_string());
         }
-        let mut b = GraphBuilder::new(n);
+        let mut b = GraphBuilder::new(n as usize);
         for _ in 0..edges {
             let u = r.u32()?;
             let v = r.u32()?;

@@ -638,3 +638,166 @@ proptest! {
         agree_when_damaged(&frame, &mut r);
     }
 }
+
+// ------------------------------------------------ resource bounds per client
+
+/// A client that pipelines requests and never reads a reply fills the
+/// socket buffers and then stalls in its own writes: the gateway stops
+/// reading from it rather than buffering replies without limit. Shutting
+/// the gateway down still returns while that connection's thread is
+/// blocked in a write.
+#[test]
+fn a_client_that_never_reads_its_replies_stalls_and_shutdown_still_returns() {
+    /// Bytes the client may send before the test calls the buffering
+    /// unbounded; socket buffers alone hold a few MiB.
+    const LIMIT: usize = 64 << 20;
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+    let mut payload = encode(&Request::Metrics);
+    payload.resize(4 << 10, b' ');
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("frame");
+    stream
+        .set_write_timeout(Some(std::time::Duration::from_millis(500)))
+        .expect("write timeout");
+    let mut sent = 0usize;
+    let stalled = loop {
+        if sent >= LIMIT {
+            break false;
+        }
+        match (&stream).write_all(&frame) {
+            Ok(()) => sent += frame.len(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break true
+            }
+            Err(e) => panic!("write failed after {sent} bytes: {e}"),
+        }
+    };
+    assert!(
+        stalled,
+        "sent {sent} bytes without a stall: the gateway buffers replies unboundedly"
+    );
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gw.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown hung behind a connection blocked in a write");
+    drop(stream);
+    pool.drain().expect("drain");
+}
+
+/// At most `MAX_CONNECTIONS` connections are served at once. One more is
+/// refused with a reject and closed; once a served one leaves, a new
+/// connection is welcomed again.
+#[test]
+fn connections_past_the_cap_are_refused_until_one_leaves() {
+    use flowtree_gateway::server::MAX_CONNECTIONS;
+    use std::sync::atomic::Ordering;
+    let (pool, gw) = launch();
+    let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let stream = dial(&gw);
+            hello(&stream);
+            stream
+        })
+        .collect();
+    assert_eq!(gw.stats().connections_open.load(Ordering::SeqCst), MAX_CONNECTIONS as u64);
+
+    // Read before writing: the reject comes unasked.
+    let extra = dial(&gw);
+    extra
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    expect_reject(&extra, "too many connections");
+    assert!(!read_frame_into(&mut &extra, 1 << 20, &mut Vec::new()).expect("clean close"));
+    assert_eq!(gw.stats().connections_open.load(Ordering::SeqCst), MAX_CONNECTIONS as u64);
+
+    drop(open.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let welcomed = loop {
+        assert!(std::time::Instant::now() < deadline, "a freed slot was never reused");
+        let stream = dial(&gw);
+        write_frame(&mut &stream, &encode(&Request::hello("late"))).expect("send hello");
+        let mut payload = Vec::new();
+        // A reject (the closed connection's thread has not ended yet) or a
+        // reset means: try again.
+        if let Ok(true) = read_frame_into(&mut &stream, 1 << 20, &mut payload) {
+            if let Ok(Reply::Welcome { .. }) = decode::<Reply>(&payload) {
+                break stream;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(gw.stats().connections_open.load(Ordering::SeqCst), MAX_CONNECTIONS as u64);
+    drop(welcomed);
+    drop(open);
+    gw.shutdown();
+    pool.drain().expect("drain");
+}
+
+/// A job announces its node count as a bare `u32`, so a tiny frame could
+/// ask the graph build for gigabytes. Both codecs refuse a frame whose jobs
+/// announce more than `MAX_FRAME_NODES` nodes in total, before sizing any
+/// graph, and the gateway answers with a reject naming the budget.
+#[test]
+fn node_counts_over_the_frame_budget_are_refused_on_both_codecs() {
+    use flowtree_gateway::MAX_FRAME_NODES;
+    let budget = MAX_FRAME_NODES.to_string();
+    let binary = |ns: &[u32]| {
+        let mut frame = vec![0u8, 1];
+        frame.extend_from_slice(&(ns.len() as u32).to_le_bytes());
+        for &n in ns {
+            frame.extend_from_slice(&0u64.to_le_bytes());
+            frame.extend_from_slice(&n.to_le_bytes());
+            frame.extend_from_slice(&0u32.to_le_bytes());
+        }
+        frame
+    };
+    // One job over the budget, and two that exceed it only together (the
+    // first is a single node, so nothing large is built either way).
+    let over = MAX_FRAME_NODES as u32 + 1;
+    let huge = u32::MAX;
+    let frames = [
+        binary(&[huge]),
+        binary(&[1, MAX_FRAME_NODES as u32]),
+        format!("{{\"type\":\"submit\",\"job\":{{\"graph\":{{\"n\":{over},\"edges\":[]}},\"release\":0}}}}")
+            .into_bytes(),
+        // `n` after the edges.
+        format!("{{\"type\":\"submit\",\"job\":{{\"release\":0,\"graph\":{{\"edges\":[],\"n\":{huge}}}}}}}")
+            .into_bytes(),
+        format!(
+            "{{\"type\":\"submit-batch\",\"jobs\":[{{\"graph\":{{\"n\":1,\"edges\":[]}},\"release\":0}},\
+             {{\"graph\":{{\"edges\":[],\"n\":{}}},\"release\":0}}]}}",
+            MAX_FRAME_NODES
+        )
+        .into_bytes(),
+    ];
+    for frame in &frames {
+        let mut staged = vec![sentinel()];
+        let err = decode_submit_into(frame, &mut staged).expect_err("over the node budget");
+        assert!(err.contains(&budget), "error {err:?} does not name the budget");
+        assert_eq!(staged, [sentinel()], "a refused frame staged jobs");
+    }
+
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+    for frame in &frames {
+        write_frame(&mut &stream, frame).expect("send");
+        expect_reject(&stream, &budget);
+    }
+    assert_pool_alive(&gw);
+    gw.shutdown();
+    let results = pool.drain().expect("drain");
+    assert!(results.iter().all(|r| r.summary.invariants_clean));
+}

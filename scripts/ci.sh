@@ -28,9 +28,10 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> codec-cost gate (JSON submit decode <= 3x binary, same frames, release)"
+echo "==> release gates (JSON submit decode <= 3x binary; quiet-connection round trip median < 2 ms)"
 # Both codecs are timed in one process on the same host, so the ratio
-# tracks the decoder rather than the machine's speed.
+# tracks the decoder rather than the machine's speed. The latency gate
+# times 20 watermark round trips, each after 250 ms of silence.
 cargo test --release -q -p flowtree-gateway -- --ignored
 
 echo "==> algo_a_tour example (release-mode Algorithm A / MC path and its asserts)"
